@@ -15,43 +15,57 @@ final class Hilbert(val d: Int, val bits: Int) extends SpaceFillingCurve {
 
   override def name: String = s"HC(d=$d,l=$bits)"
 
+  private val full = (1L << bits) - 1
+
+  /** `spread(byte)`: the 8 bits of `byte`, bit b moved to bit b·d. */
+  private val spread = Array.tabulate(256) { byte =>
+    (0 until 8).foldLeft(0L)((s, b) => s | ((byte >>> b) & 1L) << (b * d))
+  }
+
   override def value(p: Array[Long]): Long = {
     require(p.length == d, s"point has ${p.length} dims, curve has $d")
-    val x = p.clone()
-    // Inverse undo excess work: transform axes to transpose form.
-    var q = 1L << (bits - 1)
-    while (q > 1) {
-      val mask = q - 1
-      var i = 0
-      while (i < d) {
-        if ((x(i) & q) != 0) x(0) ^= mask // invert
-        else { val t = (x(0) ^ x(i)) & mask; x(0) ^= t; x(i) ^= t } // exchange
-        i += 1
+    // The d coordinates share one word, coordinate i in bits [i·bits,
+    // (i+1)·bits) (d·bits ≤ 62), so the transform allocates nothing; masks
+    // made from the tested bits replace Skilling's data-dependent branches.
+    var x = 0L
+    var i = 0
+    while (i < d) { x |= (p(i) & full) << (i * bits); i += 1 }
+    // Inverse undo excess work: transform axes to transpose form. For bit k
+    // of coordinate i: if set, invert the low bits of coordinate 0; else
+    // exchange the low bits of coordinates 0 and i (a no-op for i = 0).
+    val width = d * bits
+    var k = bits - 1
+    while (k > 0) {
+      val mask = (1L << k) - 1
+      x ^= mask & -((x >>> k) & 1L)
+      var s = bits
+      while (s < width) {
+        val set = -((x >>> (s + k)) & 1L)
+        val t = (x ^ (x >>> s)) & mask & ~set
+        x ^= (mask & set) | t | (t << s)
+        s += bits
       }
-      q >>= 1
+      k -= 1
     }
-    // Gray encode.
-    var i = 1
-    while (i < d) { x(i) ^= x(i - 1); i += 1 }
-    var t = 0L
-    q = 2L
-    while (q != (1L << bits)) {
-      if ((x(d - 1) & q) != 0) t ^= q - 1
-      q <<= 1
-    }
-    i = 0
-    while (i < d) { x(i) ^= t; i += 1 }
-    // Interleave the transpose: bit b of dim i → output bit b·d + (d−1−i),
-    // so dimension 0 carries the most significant bit of each group.
+    // Gray encode: coordinate i ^= coordinate i−1, in order.
+    i = 1
+    while (i < d) { x ^= ((x >>> ((i - 1) * bits)) & full) << (i * bits); i += 1 }
+    // Bit j of t is the parity of the bits above j of the last coordinate.
+    var t = (x >>> ((d - 1) * bits)) >>> 1
+    var sh = 1
+    while (sh < bits) { t ^= t >>> sh; sh <<= 1 }
+    // Interleave the transpose (after x_i ^= t): bit b of dim i → output bit
+    // b·d + (d−1−i), so dimension 0 carries the most significant bit of each group.
     var v = 0L
-    var b = 0
-    while (b < bits) {
-      i = 0
-      while (i < d) {
-        v |= ((x(i) >>> b) & 1L) << (b * d + (d - 1 - i))
-        i += 1
+    i = 0
+    while (i < d) {
+      val xi = ((x >>> (i * bits)) ^ t) & full
+      var b = 0
+      while (b < bits) {
+        v |= spread(((xi >>> b) & 0xff).toInt) << (b * d + (d - 1 - i))
+        b += 8
       }
-      b += 1
+      i += 1
     }
     v
   }

@@ -33,6 +33,24 @@ final case class Rect(lo: Array[Long], hi: Array[Long]) {
     true
   }
 
+  /** How this query meets the min/max box `[min(off + i), max(off + i)]`,
+    * `i < d`, of a zone (a block, file or row group): [[Rect.Disjoint]] if
+    * no cell of the box qualifies, [[Rect.Inside]] if every cell does,
+    * [[Rect.Overlaps]] otherwise. Only `Overlaps` zones need their rows read.
+    */
+  def relate(min: Array[Long], max: Array[Long], off: Int): Rect.Zone = {
+    var inside = true
+    var i = 0
+    while (i < d) {
+      val a = min(off + i)
+      val b = max(off + i)
+      if (b < lo(i) || a > hi(i)) return Rect.Disjoint
+      if (a < lo(i) || b > hi(i)) inside = false
+      i += 1
+    }
+    if (inside) Rect.Inside else Rect.Overlaps
+  }
+
   /** Intersection with another rectangle, or None if disjoint. */
   def clip(other: Rect): Option[Rect] = {
     val nlo = new Array[Long](d)
@@ -66,6 +84,12 @@ final case class Rect(lo: Array[Long], hi: Array[Long]) {
 }
 
 object Rect {
+  /** The relation of a zone's min/max box to a query (see [[Rect.relate]]). */
+  sealed trait Zone
+  case object Disjoint extends Zone
+  case object Overlaps extends Zone
+  case object Inside extends Zone
+
   /** Convenience 2-D constructor. */
   def of2d(x0: Long, x1: Long, y0: Long, y1: Long): Rect =
     Rect(Array(x0, y0), Array(x1, y1))

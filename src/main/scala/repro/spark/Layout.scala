@@ -53,11 +53,9 @@ object Layout {
     val stats = fileStats(spark, path)
       .select("minx", "maxx", "miny", "maxy")
       .collect()
-      .map(r => (r.getLong(0), r.getLong(1), r.getLong(2), r.getLong(3)))
+      .map(r => (Array(r.getLong(0), r.getLong(2)), Array(r.getLong(1), r.getLong(3))))
     val touched = queries.map { q =>
-      stats.count { case (minx, maxx, miny, maxy) =>
-        maxx >= q.lo(0) && minx <= q.hi(0) && maxy >= q.lo(1) && miny <= q.hi(1)
-      }
+      stats.count { case (min, max) => q.relate(min, max, 0) != Rect.Disjoint }
     }
     touched.sum.toDouble / queries.length
   }

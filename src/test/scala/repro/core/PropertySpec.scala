@@ -43,6 +43,17 @@ class PropertySpec extends SparkSpec {
     })
   }
 
+  test("property: Hilbert values equal Skilling's branching transform") {
+    check(Prop.forAll(Gen.choose(1, 6), Gen.choose(1, 31), seedGen) { (d, l0, seed) =>
+      val l = math.min(l0, 62 / d)
+      val rng = new java.util.Random(seed)
+      val p = pointOf(d, l, rng)
+      val raw = Array.fill(d)(rng.nextLong())
+      val hc = new Hilbert(d, l)
+      hc.value(p) == TestRefs.hilbertValue(d, l, p) && hc.value(raw) == TestRefs.hilbertValue(d, l, raw)
+    }, minTests = 500)
+  }
+
   test("property: monotonicity (Theorem 1)") {
     check(Prop.forAll(dimsGen, bitsGen, seedGen) { (d, l, seed) =>
       val rng = new java.util.Random(seed)

@@ -52,4 +52,64 @@ object TestRefs {
     val p = 1L << k
     (0L to (e >> k)).count(a => a * p >= s && a * p + p - 1 <= e).toLong
   }
+
+  /** Point indices ordered by `(values(i), i)` with a boxed comparison sort. */
+  def stableOrder(values: Array[Long]): Array[Int] = {
+    val boxed = Array.range(0, values.length).map(Integer.valueOf)
+    java.util.Arrays.sort(boxed, (a: Integer, b: Integer) => {
+      val c = java.lang.Long.compare(values(a), values(b))
+      if (c != 0) c else Integer.compare(a, b)
+    })
+    boxed.map(_.intValue)
+  }
+
+  /** Block accesses of `q` by a full scan: points sorted by `(value, index)`,
+    * packed `b` per block, counting distinct blocks holding a point of `q`.
+    */
+  def fullScanBlockAccesses(points: Array[Array[Long]], values: Array[Long], b: Int, q: Rect): Long = {
+    var count = 0L
+    var lastBlock = -1L
+    for ((src, rank) <- stableOrder(values).zipWithIndex if q.contains(points(src))) {
+      val block = rank / b
+      if (block != lastBlock) { count += 1; lastBlock = block }
+    }
+    count
+  }
+
+  /** Skilling's transpose Hilbert value with branches and a scratch copy. */
+  def hilbertValue(d: Int, bits: Int, p: Array[Long]): Long = {
+    val x = p.clone()
+    var q = 1L << (bits - 1)
+    while (q > 1) {
+      val mask = q - 1
+      var i = 0
+      while (i < d) {
+        if ((x(i) & q) != 0) x(0) ^= mask
+        else { val t = (x(0) ^ x(i)) & mask; x(0) ^= t; x(i) ^= t }
+        i += 1
+      }
+      q >>= 1
+    }
+    var i = 1
+    while (i < d) { x(i) ^= x(i - 1); i += 1 }
+    var t = 0L
+    q = 2L
+    while (q != (1L << bits)) {
+      if ((x(d - 1) & q) != 0) t ^= q - 1
+      q <<= 1
+    }
+    i = 0
+    while (i < d) { x(i) ^= t; i += 1 }
+    var v = 0L
+    var b = 0
+    while (b < bits) {
+      i = 0
+      while (i < d) {
+        v |= ((x(i) >>> b) & 1L) << (b * d + (d - 1 - i))
+        i += 1
+      }
+      b += 1
+    }
+    v
+  }
 }
