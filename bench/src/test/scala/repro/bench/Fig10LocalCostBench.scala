@@ -1,7 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.exp.{CostEfficiencyExp, TableFmt}
+import repro.exp.CostEfficiencyExp
 
 /** Figure 10 of the paper: running time of local cost estimation — LC
   * (pattern tables, Alg. 2, O(1) per BMC) vs NLC (curve-segment scan,
@@ -10,26 +10,20 @@ import repro.exp.{CostEfficiencyExp, TableFmt}
   */
 class Fig10LocalCostBench extends AnyFunSuite {
 
-  private def show(caption: String, labels: Seq[String], rows: Seq[CostEfficiencyExp.Row]): Unit =
-    println(TableFmt.render(caption,
-      Seq("param", "LC (µs/eval)", "NLC (ms/eval)", "gain"),
-      labels.zip(rows).map { case (l, r) =>
-        Seq(l, TableFmt.micros(r.fastNanosPerEval), TableFmt.ms(r.naiveNanosPerEval),
-          f"${r.gain}%.0fx")
-      }))
+  private def run(panel: Char): Seq[CostEfficiencyExp.Row] = {
+    val rows = CostEfficiencyExp.sweep("local", panel)
+    println(CostEfficiencyExp.sweepTable("local", panel, rows))
+    rows
+  }
 
   test("Fig 10a: varying the number of queries n") {
-    val exps = Seq(0, 2, 4, 6, 8)
-    val rows = exps.map(e => CostEfficiencyExp.local(n = 1 << e, mNaive = 1))
-    show("Fig 10a: local cost vs n", exps.map(e => s"n=2^$e"), rows)
+    val rows = run('a')
     assert(rows.last.gain > 1000.0, s"gain ${rows.last.gain}")
     assert(rows.last.gain > rows.head.gain, s"gains: ${rows.map(_.gain)}")
   }
 
   test("Fig 10b: varying the query edge length δ") {
-    val deltas = Seq(16L, 32L, 64L, 128L, 256L)
-    val rows = CostEfficiencyExp.sweepDelta("local", deltas)
-    show("Fig 10b: local cost vs δ", deltas.map(d => s"δ=$d"), rows)
+    val rows = run('b')
     // NLC scans V = δ² cells per query: it must grow steeply with δ while
     // LC stays flat.
     assert(rows.last.naiveNanosPerEval > rows.head.naiveNanosPerEval * 16,
@@ -39,9 +33,7 @@ class Fig10LocalCostBench extends AnyFunSuite {
   }
 
   test("Fig 10c: varying the number of bits ℓ") {
-    val bitsSeq = Seq(10, 12, 14)
-    val rows = CostEfficiencyExp.sweepBits("local", bitsSeq)
-    show("Fig 10c: local cost vs ℓ", bitsSeq.map(b => s"ℓ=$b"), rows)
+    val rows = run('c')
     // The scan volume grows 4× per ℓ step — NLC explodes, LC does not;
     // this is why the paper cannot run NLC beyond ℓ=18.
     assert(rows.last.naiveNanosPerEval > rows.head.naiveNanosPerEval * 8,
@@ -50,9 +42,7 @@ class Fig10LocalCostBench extends AnyFunSuite {
   }
 
   test("Fig 10d: varying the dimensionality d") {
-    val rows = CostEfficiencyExp.sweepD("local", Seq(2, 3, 4))
-    show("Fig 10d: local cost vs d (gain column = paper's y-axis)",
-      Seq(2, 3, 4).map(d => s"d=$d"), rows)
+    val rows = run('d')
     assert(rows.forall(_.gain > 10.0), rows.map(_.gain).toString)
   }
 }

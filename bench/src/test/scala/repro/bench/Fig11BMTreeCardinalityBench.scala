@@ -1,7 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.exp.{BMTreeExp, TableFmt}
+import repro.exp.BMTreeExp
 
 /** Figure 11 of the paper (OSM): BMTree reward-calculation time and query
   * cost when the built-in sampled-data reward (SP) is replaced by GC / LC,
@@ -14,13 +14,8 @@ import repro.exp.{BMTreeExp, TableFmt}
 class Fig11BMTreeCardinalityBench extends AnyFunSuite {
 
   test("Fig 11: BMTree-SP/GC/LC vs dataset cardinality N") {
-    val ns = Seq(10_000, 100_000, 1_000_000)
-    val results = BMTreeExp.varyCardinality(ns)
-    val rows = for ((n, variants) <- results; v <- variants)
-      yield Seq(n.toString, v.variant, TableFmt.ms(v.rewardNanos.toDouble),
-        TableFmt.ms(v.learnNanos.toDouble), f"${v.blockAccesses}%.1f")
-    println(TableFmt.render("Fig 11: BMTree variants vs N (OSM-like)",
-      Seq("N", "variant", "reward (ms)", "learn (ms)", "block accesses"), rows))
+    val results = BMTreeExp.varyCardinality()
+    println(BMTreeExp.fig11Table(results))
 
     def reward(n: Int, v: String): Long =
       results.find(_._1 == n).get._2.find(_.variant == v).get.rewardNanos

@@ -1,7 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.exp.{BMTreeExp, TableFmt}
+import repro.exp.BMTreeExp
 
 /** Figure 12 of the paper (OSM): BMTree variants while varying the number
   * of learning queries n. Paper claims: GC/LC beat SP's reward time by
@@ -11,13 +11,9 @@ import repro.exp.{BMTreeExp, TableFmt}
 class Fig12BMTreeQueriesBench extends AnyFunSuite {
 
   test("Fig 12: BMTree-SP/GC/LC vs number of learning queries") {
-    val qs = Seq(50, 100, 200, 400)
-    val results = BMTreeExp.varyQueries(qs)
-    val rows = for ((n, variants) <- results; v <- variants)
-      yield Seq(n.toString, v.variant, TableFmt.ms(v.rewardNanos.toDouble),
-        f"${v.blockAccesses}%.1f")
-    println(TableFmt.render("Fig 12: BMTree variants vs learning queries (OSM-like)",
-      Seq("n queries", "variant", "reward (ms)", "block accesses"), rows))
+    val results = BMTreeExp.varyQueries()
+    println(BMTreeExp.fig12Table(results))
+    val qs = results.map(_._1)
 
     def reward(n: Int, v: String): Long =
       results.find(_._1 == n).get._2.find(_.variant == v).get.rewardNanos

@@ -1,7 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.exp.{BMTreeExp, TableFmt}
+import repro.exp.BMTreeExp
 
 /** Figure 13 of the paper (SKEW): reward time vs query cost trade-off
   * while varying the SP sampling rate ρ and the partitioning depth h.
@@ -12,20 +12,8 @@ import repro.exp.{BMTreeExp, TableFmt}
 class Fig13SamplingDepthBench extends AnyFunSuite {
 
   test("Fig 13: varying sampling rate ρ and depth h") {
-    val (sp, gc, lc) = BMTreeExp.varySamplingAndDepth(
-      dist = "SKEW", rhos = Seq(0.001, 0.01, 0.1), hs = Seq(4, 6, 8))
-
-    val spRows = sp.map { case (rho, h, v) =>
-      Seq(f"SP ρ=$rho%.3f h=$h", TableFmt.ms(v.rewardNanos.toDouble), f"${v.blockAccesses}%.1f")
-    }
-    val gcRows = gc.map { case (h, v) =>
-      Seq(s"GC h=$h", TableFmt.ms(v.rewardNanos.toDouble), f"${v.blockAccesses}%.1f")
-    }
-    val lcRows = lc.map { case (h, v) =>
-      Seq(s"LC h=$h", TableFmt.ms(v.rewardNanos.toDouble), f"${v.blockAccesses}%.1f")
-    }
-    println(TableFmt.render("Fig 13: reward time vs query cost (SKEW-like)",
-      Seq("config", "reward (ms)", "block accesses"), spRows ++ gcRows ++ lcRows))
+    val (sp, gc, lc) = BMTreeExp.varySamplingAndDepth()
+    println(BMTreeExp.fig13Table(sp, gc, lc))
 
     // SP reward time grows with ρ at fixed h.
     val spAtH6 = sp.filter(_._2 == 6).sortBy(_._1)

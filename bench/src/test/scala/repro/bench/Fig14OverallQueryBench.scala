@@ -1,7 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.exp.{QueryExp, TableFmt}
+import repro.exp.QueryExp
 
 /** Figure 14 of the paper: average block accesses of LBMC, BMTree,
   * QUILTS, ZC, HC, and LC on all four datasets.
@@ -14,12 +14,7 @@ class Fig14OverallQueryBench extends AnyFunSuite {
 
   test("Fig 14: block accesses of all curves on all datasets") {
     val results = QueryExp.overall()
-    val names = results.head._2.map(_._1)
-    val rows = results.map { case (dist, scores) =>
-      dist +: scores.map { case (_, ba) => f"$ba%.1f" }
-    }
-    println(TableFmt.render("Fig 14: avg block accesses (rows=dataset, cols=curve)",
-      "dataset" +: names, rows))
+    println(QueryExp.fig14Table(results))
 
     for ((dist, scores) <- results) {
       val byName = scores.toMap

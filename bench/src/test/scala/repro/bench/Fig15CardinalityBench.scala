@@ -1,7 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.exp.{QueryExp, TableFmt}
+import repro.exp.QueryExp
 
 /** Figure 15 of the paper (OSM): block accesses of all curves while
   * varying the dataset cardinality N. Paper claims: costs grow with N for
@@ -10,22 +10,17 @@ import repro.exp.{QueryExp, TableFmt}
 class Fig15CardinalityBench extends AnyFunSuite {
 
   test("Fig 15: block accesses vs dataset cardinality") {
-    val ns = Seq(10_000, 100_000, 1_000_000)
-    val results = QueryExp.varyCardinality(ns)
-    val names = results.head._3.map(_._1)
-    val rows = results.map { case (n, _, scores) =>
-      n.toString +: scores.map { case (_, ba) => f"$ba%.1f" }
-    }
-    println(TableFmt.render("Fig 15: avg block accesses vs N (OSM-like)",
-      "N" +: names, rows))
+    val results = QueryExp.varyCardinality()
+    println(QueryExp.fig15Table(results))
+    val names = results.head._2.map(_._1)
 
     // Block accesses grow with N for every curve.
     for (name <- names) {
-      val series = results.map(_._3.toMap.apply(name))
+      val series = results.map(_._2.toMap.apply(name))
       assert(series.last > series.head, s"$name: $series")
     }
     // LBMC stays competitive with the best at every N.
-    for ((n, _, scores) <- results) {
+    for ((n, scores) <- results) {
       val best = scores.map(_._2).min
       assert(scores.toMap.apply("LBMC") <= best * 1.35, s"N=$n: $scores")
     }

@@ -1,7 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.exp.{QueryExp, TableFmt}
+import repro.exp.QueryExp
 
 /** Figure 16 of the paper (OSM): block accesses while varying the query
   * aspect ratio at fixed area. Paper claims: LBMC's advantage is largest
@@ -12,12 +12,7 @@ class Fig16AspectRatioBench extends AnyFunSuite {
 
   test("Fig 16: block accesses vs query aspect ratio") {
     val results = QueryExp.varyAspectRatio()
-    val names = results.head._2.map(_._1)
-    val rows = results.map { case (label, scores) =>
-      label +: scores.map { case (_, ba) => f"$ba%.1f" }
-    }
-    println(TableFmt.render("Fig 16: avg block accesses vs aspect ratio (OSM-like)",
-      "ratio" +: names, rows))
+    println(QueryExp.fig16Table(results))
 
     for ((label, scores) <- results) {
       val byName = scores.toMap

@@ -1,7 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.exp.{QueryExp, TableFmt}
+import repro.exp.QueryExp
 
 /** Figure 17 of the paper (OSM): block accesses while varying the query
   * edge length. Paper claims: costs grow with the edge length for every
@@ -10,14 +10,9 @@ import repro.exp.{QueryExp, TableFmt}
 class Fig17EdgeLengthBench extends AnyFunSuite {
 
   test("Fig 17: block accesses vs query edge length") {
-    val edges = Seq(2048L, 4096L, 8192L, 16384L)
-    val results = QueryExp.varyEdge(edges)
+    val results = QueryExp.varyEdge()
+    println(QueryExp.fig17Table(results))
     val names = results.head._2.map(_._1)
-    val rows = results.map { case (e, scores) =>
-      e.toString +: scores.map { case (_, ba) => f"$ba%.1f" }
-    }
-    println(TableFmt.render("Fig 17: avg block accesses vs query edge (OSM-like)",
-      "edge" +: names, rows))
 
     // Larger queries cost more for every curve.
     for (name <- names) {

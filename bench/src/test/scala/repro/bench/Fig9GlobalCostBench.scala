@@ -1,7 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.exp.{CostEfficiencyExp, TableFmt}
+import repro.exp.CostEfficiencyExp
 
 /** Figure 9 of the paper: running time of global cost estimation — GC
   * (Eq. 6, O(1) per BMC) vs NGC (Eq. 5, O(n) per BMC) — varying n, δ, ℓ,
@@ -9,43 +9,34 @@ import repro.exp.{CostEfficiencyExp, TableFmt}
   */
 class Fig9GlobalCostBench extends AnyFunSuite {
 
-  private def show(caption: String, labels: Seq[String], rows: Seq[CostEfficiencyExp.Row]): Unit =
-    println(TableFmt.render(caption,
-      Seq("param", "GC (µs/eval)", "NGC (µs/eval)", "gain"),
-      labels.zip(rows).map { case (l, r) =>
-        Seq(l, TableFmt.micros(r.fastNanosPerEval), TableFmt.micros(r.naiveNanosPerEval),
-          f"${r.gain}%.1fx")
-      }))
+  private def run(panel: Char): Seq[CostEfficiencyExp.Row] = {
+    val rows = CostEfficiencyExp.sweep("global", panel)
+    println(CostEfficiencyExp.sweepTable("global", panel, rows))
+    rows
+  }
 
   test("Fig 9a: varying the number of queries n") {
-    val exps = Seq(0, 2, 4, 6, 8, 10)
-    val rows = CostEfficiencyExp.sweepN("global", exps)
-    show("Fig 9a: global cost vs n", exps.map(e => s"n=2^$e"), rows)
+    val rows = run('a')
     // GC flat in n, NGC linear: the gain at n=1024 must dwarf that at n=1.
     assert(rows.last.gain > rows.head.gain * 4,
       s"gains: ${rows.map(_.gain)}")
   }
 
   test("Fig 9b: varying the query edge length δ") {
-    val deltas = Seq(16L, 32L, 64L, 128L, 256L)
-    val rows = CostEfficiencyExp.sweepDelta("global", deltas)
-    show("Fig 9b: global cost vs δ", deltas.map(d => s"δ=$d"), rows)
+    val rows = run('b')
     // Neither GC nor NGC depends on δ: times stay within a loose band.
     val f = rows.map(_.naiveNanosPerEval)
     assert(f.max < f.min * 10, s"NGC should be flat in δ: $f")
   }
 
   test("Fig 9c: varying the number of bits ℓ") {
-    val rows = CostEfficiencyExp.sweepBits("global", Seq(10, 12, 14, 16))
-    show("Fig 9c: global cost vs ℓ", Seq(10, 12, 14, 16).map(b => s"ℓ=$b"), rows)
+    val rows = run('c')
     // Both scale with ℓ; GC stays faster throughout.
     assert(rows.forall(_.gain > 1.0), rows.map(_.gain).toString)
   }
 
   test("Fig 9d: varying the dimensionality d") {
-    val rows = CostEfficiencyExp.sweepD("global", Seq(2, 3, 4))
-    show("Fig 9d: global cost vs d (gain column = paper's y-axis)",
-      Seq(2, 3, 4).map(d => s"d=$d"), rows)
+    val rows = run('d')
     assert(rows.forall(_.gain > 2.0), rows.map(_.gain).toString)
   }
 }

@@ -1,7 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.exp.{CostEfficiencyExp, TableFmt}
+import repro.exp.CostEfficiencyExp
 
 /** Table 6 of the paper: initialization costs of GC and LC (IGC / ILC)
   * next to the naive per-evaluation costs (NGC / NLC), varying n = 2¹..2¹⁰.
@@ -14,16 +14,8 @@ import repro.exp.{CostEfficiencyExp, TableFmt}
 class Table6InitCostsBench extends AnyFunSuite {
 
   test("Table 6: IGC/NGC/ILC/NLC vs n") {
-    val rows = CostEfficiencyExp.table6(maxExp = 10)
-    val out = rows.map { case (n, g, l) =>
-      Seq(n.toString,
-        TableFmt.ms(g.initNanos.toDouble),   // IGC (ms)
-        TableFmt.ms(g.naiveNanosPerEval),    // NGC (ms)
-        TableFmt.ms(l.initNanos.toDouble),   // ILC (ms)
-        TableFmt.secs(l.naiveNanosPerEval))  // NLC (s)
-    }
-    println(TableFmt.render("Table 6: initialization costs of GC and LC (varying n)",
-      Seq("n", "IGC (ms)", "NGC (ms)", "ILC (ms)", "NLC (s)"), out))
+    val rows = CostEfficiencyExp.table6()
+    println(CostEfficiencyExp.table6Table(rows))
 
     // Shape claims of the table: both naive costs grow with n, and the
     // init scans stay cheaper than the corresponding naive evaluation at

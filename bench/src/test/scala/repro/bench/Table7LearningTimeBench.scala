@@ -1,9 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core._
-import repro.exp.{QueryExp, TableFmt}
-import repro.learn.{BMTree, LBMC, LBMCConfig, Quilts}
+import repro.exp.QueryExp
 
 /** Table 7 of the paper: SFC learning time (seconds) vs dataset
   * cardinality N, for the BMTree (SP reward, as released), LBMC, and
@@ -18,32 +16,14 @@ import repro.learn.{BMTree, LBMC, LBMCConfig, Quilts}
 class Table7LearningTimeBench extends AnyFunSuite {
 
   test("Table 7: SFC learning time vs N") {
-    val bits = QueryExp.DefaultBits
-    val ns = Seq(10_000, 100_000, 1_000_000)
-    val learnQs = Workloads.squares("OSM", QueryExp.LearnQueries, QueryExp.DefaultEdge, bits, 3)
-
-    val rows = ns.map { n =>
-      val data = SpatialGen.quantizeAll(SpatialGen.points("OSM", n, 2), bits)
-      val bmtree = BMTree.learn(learnQs.toSeq, data, 2, bits, QueryExp.DefaultH,
-        QueryExp.DefaultRho, BMTree.SPReward, QueryExp.DefaultBlock)
-      val (wc, wcNanos) = TableFmt.timed(WorkloadCost(learnQs.toSeq, 2, bits))
-      val lbmc = new LBMC(wc, LBMCConfig()).learn(BMC.zOrder(2, bits))
-      val (_, quiltsNanos) = TableFmt.timed(Quilts.design(wc, bits))
-      (n, bmtree.totalNanos, wcNanos + lbmc.totalNanos, wcNanos + quiltsNanos)
-    }
-
-    println(TableFmt.render("Table 7: SFC learning time (seconds) vs N (OSM-like)",
-      Seq("N", "BMTree (s)", "LBMC (s)", "QUILTS (s)"),
-      rows.map { case (n, bm, lb, qu) =>
-        Seq(n.toString, TableFmt.secs(bm.toDouble), TableFmt.secs(lb.toDouble),
-          TableFmt.secs(qu.toDouble))
-      }))
+    val rows = QueryExp.learningTime()
+    println(QueryExp.table7Table(rows))
 
     // Shape claims: BMTree's time grows with N; LBMC's stays flat; QUILTS
     // is the fastest by a wide margin.
-    val bmTimes = rows.map(_._2)
-    val lbTimes = rows.map(_._3)
-    val quTimes = rows.map(_._4)
+    val bmTimes = rows.map(_.bmtreeNanos)
+    val lbTimes = rows.map(_.lbmcNanos)
+    val quTimes = rows.map(_.quiltsNanos)
     assert(bmTimes.last > bmTimes.head * 2,
       s"BMTree learning should scale with N: $bmTimes")
     assert(lbTimes.max < lbTimes.min * 5,

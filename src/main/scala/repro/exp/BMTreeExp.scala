@@ -87,4 +87,30 @@ object BMTreeExp {
     val lc = hs.map(h => (h, run(dist = dist, h = h, rewards = Seq(BMTree.LCReward)).head))
     (sp, gc, lc)
   }
+
+  private def ms(nanos: Long): String = TableFmt.ms(nanos.toDouble)
+
+  def fig11Table(results: Seq[(Int, Seq[VariantRow])]): String =
+    TableFmt.render("Fig 11: BMTree variants vs N (OSM-like)",
+      Seq("N", "variant", "reward (ms)", "learn (ms)", "block accesses"),
+      for ((n, vs) <- results; v <- vs)
+        yield Seq(n.toString, v.variant, ms(v.rewardNanos), ms(v.learnNanos),
+          f"${v.blockAccesses}%.1f"))
+
+  def fig12Table(results: Seq[(Int, Seq[VariantRow])]): String =
+    TableFmt.render("Fig 12: BMTree variants vs learning queries (OSM-like)",
+      Seq("n queries", "variant", "reward (ms)", "block accesses"),
+      for ((n, vs) <- results; v <- vs)
+        yield Seq(n.toString, v.variant, ms(v.rewardNanos), f"${v.blockAccesses}%.1f"))
+
+  def fig13Table(sp: Seq[(Double, Int, VariantRow)], gc: Seq[(Int, VariantRow)],
+                 lc: Seq[(Int, VariantRow)]): String = {
+    def row(config: String, v: VariantRow) =
+      Seq(config, ms(v.rewardNanos), f"${v.blockAccesses}%.1f")
+    TableFmt.render("Fig 13: reward time vs query cost (SKEW-like)",
+      Seq("config", "reward (ms)", "block accesses"),
+      sp.map { case (rho, h, v) => row(f"SP ρ=$rho%.3f h=$h", v) } ++
+        gc.map { case (h, v) => row(s"GC h=$h", v) } ++
+        lc.map { case (h, v) => row(s"LC h=$h", v) })
+  }
 }

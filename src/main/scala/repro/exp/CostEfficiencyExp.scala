@@ -16,7 +16,7 @@ object CostEfficiencyExp {
 
   /** One measurement point. All times are nanoseconds. */
   final case class Row(
-      label: String,        // e.g. "n=16"
+      label: String,        // e.g. "n=2^4"
       initNanos: Long,      // IGC or ILC
       fastNanosPerEval: Double, // GC or LC, per candidate BMC
       naiveNanosPerEval: Double // NGC or NLC, per candidate BMC
@@ -108,30 +108,60 @@ object CostEfficiencyExp {
       (n, global(n = n), local(n = n, mNaive = 1))
     }
 
-  /** Fig. 9/10 sweeps. `which` is "global" or "local". */
-  def sweepN(which: String, exps: Seq[Int] = Seq(0, 2, 4, 6, 8, 10)): Seq[Row] =
-    exps.map(e => point(which, n = 1 << e))
+  def table6Table(rows: Seq[(Int, Row, Row)]): String =
+    TableFmt.render("Table 6: initialization costs of GC and LC (varying n)",
+      Seq("n", "IGC (ms)", "NGC (ms)", "ILC (ms)", "NLC (s)"),
+      rows.map { case (n, g, l) =>
+        Seq(n.toString, TableFmt.ms(g.initNanos.toDouble), TableFmt.ms(g.naiveNanosPerEval),
+          TableFmt.ms(l.initNanos.toDouble), TableFmt.secs(l.naiveNanosPerEval))
+      })
 
-  def sweepDelta(which: String, deltas: Seq[Long] = Seq(16, 32, 64, 128, 256)): Seq[Row] =
-    deltas.map(dl => point(which, delta = dl))
+  /** The panels of Figs. 9 and 10: a–d sweep n, δ, ℓ and d. */
+  val Panels: Seq[Char] = "abcd"
 
-  /** ℓ sweep: query extent scales with the resolution (a fixed real-world
-    * query covers 2^(ℓ−10)× more cells per dimension at resolution ℓ),
-    * which is what makes the naive scan infeasible at large ℓ.
+  /** One panel of Fig. 9 (`which` = "global": GC vs NGC) or Fig. 10
+    * ("local": LC vs NLC). Each row's label names the swept value.
     */
-  def sweepBits(which: String, bitsSeq: Seq[Int] = Seq(10, 12, 14, 16),
-                deltaAt10: Long = 16): Seq[Row] =
-    bitsSeq.map { b =>
-      val dl = deltaAt10 << (b - 10)
-      point(which, delta = dl, bits = b, mNaiveLocal = 1)
+  def sweep(which: String, panel: Char): Seq[Row] = {
+    val isGlobal = which == "global"
+    panel match {
+      case 'a' =>
+        val exps = if (isGlobal) Seq(0, 2, 4, 6, 8, 10) else Seq(0, 2, 4, 6, 8)
+        exps.map(e => point(which, n = 1 << e, mNaiveLocal = 1).copy(label = s"n=2^$e"))
+      case 'b' =>
+        Seq(16L, 32L, 64L, 128L, 256L).map(dl => point(which, delta = dl).copy(label = s"δ=$dl"))
+      case 'c' =>
+        // Query extent scales with the resolution (a fixed real-world query
+        // covers 2^(ℓ−10)× more cells per dimension at resolution ℓ), which
+        // is what makes the naive scan infeasible at large ℓ.
+        val bitsSeq = if (isGlobal) Seq(10, 12, 14, 16) else Seq(10, 12, 14)
+        bitsSeq.map { b =>
+          point(which, delta = 16L << (b - 10), bits = b, mNaiveLocal = 1).copy(label = s"ℓ=$b")
+        }
+      case 'd' =>
+        Seq(2, 3, 4).map { dd =>
+          // Keep per-query volume manageable for the naive scan as d grows.
+          val dl = if (isGlobal) DefaultDelta else math.max(4L, 64L >> dd)
+          point(which, delta = dl, d = dd, mNaiveLocal = 1).copy(label = s"d=$dd")
+        }
+      case other => throw new IllegalArgumentException(s"no panel $other")
     }
+  }
 
-  def sweepD(which: String, ds: Seq[Int] = Seq(2, 3, 4)): Seq[Row] =
-    ds.map { dd =>
-      // Keep per-query volume manageable for the naive scan as d grows.
-      val dl = if (which == "local") math.max(4L, 64L >> dd) else DefaultDelta
-      point(which, delta = dl, d = dd, mNaiveLocal = 1)
-    }
+  def sweepTable(which: String, panel: Char, rows: Seq[Row]): String = {
+    val param = Map('a' -> "n", 'b' -> "δ", 'c' -> "ℓ", 'd' -> "d")(panel)
+    val note = if (panel == 'd') " (gain column = paper's y-axis)" else ""
+    val (fig, headers, naive, gain) =
+      if (which == "global")
+        ("9", Seq("param", "GC (µs/eval)", "NGC (µs/eval)", "gain"),
+          TableFmt.micros _, (g: Double) => f"$g%.1fx")
+      else
+        ("10", Seq("param", "LC (µs/eval)", "NLC (ms/eval)", "gain"),
+          TableFmt.ms _, (g: Double) => f"$g%.0fx")
+    TableFmt.render(s"Fig $fig$panel: $which cost vs $param$note", headers,
+      rows.map(r => Seq(r.label, TableFmt.micros(r.fastNanosPerEval),
+        naive(r.naiveNanosPerEval), gain(r.gain))))
+  }
 
   private def point(which: String, n: Int = DefaultN, delta: Long = DefaultDelta,
                     bits: Int = DefaultBits, d: Int = DefaultD,

@@ -23,7 +23,7 @@ object QueryExp {
   val DefaultH = 6
   val DefaultRho = 0.02
 
-  final case class CurveRow(name: String, curve: SpaceFillingCurve, learnNanos: Long)
+  final case class CurveRow(name: String, curve: SpaceFillingCurve)
 
   /** Build all six competitors for one dataset + learning workload. */
   def competitors(dist: String,
@@ -35,22 +35,15 @@ object QueryExp {
                   blockSize: Int = DefaultBlock,
                   seed: Long = 31,
                   lbmcCfg: LBMCConfig = LBMCConfig()): Seq[CurveRow] = {
-    val (wc, wcNanos) = TableFmt.timed(WorkloadCost(learnQs.toSeq, 2, bits))
-
-    val lbmcRes = new LBMC(wc, lbmcCfg).learn(BMC.zOrder(2, bits))
-    val lbmc = CurveRow("LBMC", lbmcRes.best, wcNanos + lbmcRes.totalNanos)
-
-    val bmRes = BMTree.learn(learnQs.toSeq, data, 2, bits, h, rho, BMTree.SPReward, blockSize, seed)
-    val bmtree = CurveRow("BMTree", bmRes.curve, bmRes.totalNanos)
-
-    val ((quiltsCurve, _), quiltsNanos) = TableFmt.timed(Quilts.design(wc, bits))
-    val quilts = CurveRow("QUILTS", quiltsCurve, wcNanos + quiltsNanos)
-
+    val wc = WorkloadCost(learnQs.toSeq, 2, bits)
     Seq(
-      lbmc, bmtree, quilts,
-      CurveRow("ZC", BMC.zOrder(2, bits), 0L),
-      CurveRow("HC", new Hilbert(2, bits), 0L),
-      CurveRow("LC", BMC.lexicographic(2, bits, 0), 0L),
+      CurveRow("LBMC", new LBMC(wc, lbmcCfg).learn(BMC.zOrder(2, bits)).best),
+      CurveRow("BMTree",
+        BMTree.learn(learnQs.toSeq, data, 2, bits, h, rho, BMTree.SPReward, blockSize, seed).curve),
+      CurveRow("QUILTS", Quilts.design(wc, bits)._1),
+      CurveRow("ZC", BMC.zOrder(2, bits)),
+      CurveRow("HC", new Hilbert(2, bits)),
+      CurveRow("LC", BMC.lexicographic(2, bits, 0)),
     )
   }
 
@@ -73,19 +66,16 @@ object QueryExp {
       (dist, evaluate(data, curves, testQs))
     }
 
-  /** Fig. 15 + Table 7: vary the dataset cardinality (OSM-like data).
-    * Returns per N: (learning time per learned curve, block accesses per
-    * curve).
-    */
+  /** Fig. 15: vary the dataset cardinality (OSM-like). */
   def varyCardinality(ns: Seq[Int] = Seq(10_000, 100_000, 1_000_000),
                       bits: Int = DefaultBits, edge: Long = DefaultEdge,
-                      seed: Long = 51): Seq[(Int, Seq[CurveRow], Seq[(String, Double)])] =
+                      seed: Long = 51): Seq[(Int, Seq[(String, Double)])] =
     ns.map { n =>
       val data = SpatialGen.quantizeAll(SpatialGen.points("OSM", n, seed), bits)
       val learnQs = Workloads.squares("OSM", LearnQueries, edge, bits, seed + 1)
       val testQs = Workloads.squares("OSM", TestQueries, edge, bits, seed + 2)
       val curves = competitors("OSM", data, learnQs, bits)
-      (n, curves, evaluate(data, curves, testQs))
+      (n, evaluate(data, curves, testQs))
     }
 
   /** Fig. 16: vary the query aspect ratio at fixed area (OSM-like). */
@@ -114,4 +104,51 @@ object QueryExp {
       (e, evaluate(data, curves, testQs))
     }
   }
+
+  final case class LearningTime(n: Int, bmtreeNanos: Long, lbmcNanos: Long, quiltsNanos: Long)
+
+  /** Table 7: learning time of BMTree (SP reward), LBMC and QUILTS vs N
+    * (OSM-like); LBMC's and QUILTS's times include the cost model's init.
+    * An untimed pass at N = 5,000 first lets the JIT compile the learners,
+    * so the first timed row does not run in a cold JVM.
+    */
+  def learningTime(ns: Seq[Int] = Seq(10_000, 100_000, 1_000_000)): Seq[LearningTime] = {
+    val bits = DefaultBits
+    val learnQs = Workloads.squares("OSM", LearnQueries, DefaultEdge, bits, 3).toSeq
+    def measure(n: Int): LearningTime = {
+      val data = SpatialGen.quantizeAll(SpatialGen.points("OSM", n, 2), bits)
+      val bmtree = BMTree.learn(learnQs, data, 2, bits, DefaultH, DefaultRho,
+        BMTree.SPReward, DefaultBlock)
+      val (wc, wcNanos) = TableFmt.timed(WorkloadCost(learnQs, 2, bits))
+      val lbmc = new LBMC(wc, LBMCConfig()).learn(BMC.zOrder(2, bits))
+      val (_, quiltsNanos) = TableFmt.timed(Quilts.design(wc, bits))
+      LearningTime(n, bmtree.totalNanos, wcNanos + lbmc.totalNanos, wcNanos + quiltsNanos)
+    }
+    measure(5_000)
+    ns.map(measure)
+  }
+
+  def table7Table(rows: Seq[LearningTime]): String =
+    TableFmt.render("Table 7: SFC learning time (seconds) vs N (OSM-like)",
+      Seq("N", "BMTree (s)", "LBMC (s)", "QUILTS (s)"),
+      rows.map(r => Seq(r.n.toString, TableFmt.secs(r.bmtreeNanos.toDouble),
+        TableFmt.secs(r.lbmcNanos.toDouble), TableFmt.secs(r.quiltsNanos.toDouble))))
+
+  /** Block accesses per curve, one row per swept value `key`. */
+  private def scoreTable[K](caption: String, key: String,
+                            results: Seq[(K, Seq[(String, Double)])]): String =
+    TableFmt.render(caption, key +: results.head._2.map(_._1),
+      results.map { case (k, scores) => k.toString +: scores.map { case (_, ba) => f"$ba%.1f" } })
+
+  def fig14Table(results: Seq[(String, Seq[(String, Double)])]): String =
+    scoreTable("Fig 14: avg block accesses (rows=dataset, cols=curve)", "dataset", results)
+
+  def fig15Table(results: Seq[(Int, Seq[(String, Double)])]): String =
+    scoreTable("Fig 15: avg block accesses vs N (OSM-like)", "N", results)
+
+  def fig16Table(results: Seq[(String, Seq[(String, Double)])]): String =
+    scoreTable("Fig 16: avg block accesses vs aspect ratio (OSM-like)", "ratio", results)
+
+  def fig17Table(results: Seq[(Long, Seq[(String, Double)])]): String =
+    scoreTable("Fig 17: avg block accesses vs query edge (OSM-like)", "edge", results)
 }

@@ -1,6 +1,6 @@
 package repro.spark
 
-import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.expressions.UserDefinedFunction
 import org.apache.spark.sql.functions.udf
 import repro.core.SpaceFillingCurve
@@ -21,14 +21,6 @@ object CurveUdfs {
                      xq: String = "xq", yq: String = "yq",
                      out: String = "sfc"): DataFrame =
     df.withColumn(out, curveValue2d(curve)(df(xq), df(yq)))
-
-  /** d-dimensional variant taking an array column of cell coordinates. */
-  def curveValueNd(curve: SpaceFillingCurve): UserDefinedFunction =
-    udf((cells: Seq[Long]) => curve.value(cells.toArray))
-
-  /** Convenience for building the array column from named cell columns. */
-  def cellArray(cols: Seq[Column]): Column =
-    org.apache.spark.sql.functions.array(cols: _*)
 
   /** Register `name(xq, yq)` as a SQL function computing the curve value,
     * so Spark SQL statements (e.g. `ORDER BY sfc_value(xq, yq)` or a

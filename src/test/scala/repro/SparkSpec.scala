@@ -6,11 +6,13 @@ import org.scalatest.funsuite.AnyFunSuite
 
 /** Base for every test: one local-mode SparkSession for the whole run.
   *
-  * Driver heap is set via ``Test / javaOptions`` in build.sbt from
-  * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit). Broadcast joins are disabled so shuffle/join papers actually
-  * exercise the shuffle path at SF~=0.1; re-enable per-query if the
-  * paper's contribution is the broadcast side.
+  * The Spark suites use it for the curve UDFs, the `BlockAccess` pipeline,
+  * the Parquet layouts of `Layout` and `LayoutExp`, and the DataFrames the
+  * DuckDB oracle checks. Driver heap is set via ``Test / javaOptions`` in
+  * build.sbt from SPARK_DRIVER_MEM; SPARK_MASTER and
+  * SPARK_SHUFFLE_PARTITIONS override the master and the shuffle width.
+  * Broadcast joins are disabled, so the one join under test
+  * (`SqlCurveSpec`) runs as a shuffle join.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
@@ -27,8 +29,8 @@ object SparkSpec {
               sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
-    // One line in test output that tells the driver whether the cgroup
-    // derivation saw the real limit (README § Spark target).
+    // One line in the test output records the driver heap, master and
+    // parallelism the run used.
     Console.err.println(
       s"[SparkSpec] driverMem=${sys.env.getOrElse("SPARK_DRIVER_MEM", "(unset)")} " +
       s"master=${s.sparkContext.master} " +

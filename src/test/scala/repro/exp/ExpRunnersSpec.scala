@@ -1,7 +1,9 @@
 package repro.exp
 
+import java.nio.file.Files
 import repro.SparkSpec
 import repro.core._
+import repro.jobs.Main
 import repro.learn.BMTree
 
 /** Smoke + invariant tests for the experiment runners the benches use. */
@@ -86,5 +88,26 @@ class ExpRunnersSpec extends SparkSpec {
     val belowY = Array(bits, bits - 1)
     val sigY = BMC(PiecewiseBMC.interleave(belowY).dims.toSeq :+ 1, 2)
     assert(eval(sigX) < eval(sigY), s"x-split ${eval(sigX)} vs y-split ${eval(sigY)}")
+  }
+
+  test("layout runner: chosen and adversarial rows, cost order, Spark = driver blocks") {
+    val (dist, n, bits) = ("UNI", 4000, 8)
+    val (queries, rows) = LayoutExp.run(spark, dist, n,
+      Files.createTempDirectory("layout-exp").toString, bits, numFiles = 4)
+    assert(rows.map(_.layout) == Seq("chosen", "adversarial"))
+    val wc = WorkloadCost(queries.toSeq, 2, bits)
+    assert(wc.cost(rows.head.curve) <= wc.cost(rows(1).curve))
+    // The runner's data: seed 1, quantized as SpatialData does.
+    val cells = SpatialGen.quantizeAll(SpatialGen.points(dist, n, 1), bits)
+    for (r <- rows)
+      assert(r.blockAccesses == ClusteredIndex.build(cells, r.curve, 128).avgBlockAccesses(queries.toSeq),
+        r.layout)
+  }
+
+  test("Main rejects an unknown experiment and lists every valid id") {
+    val e = intercept[IllegalArgumentException](Main.main(Array("fig99")))
+    val ids = Seq("table6", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15",
+      "fig16", "fig17", "table7", "layout", "all")
+    assert(ids.forall(id => e.getMessage.contains(s"$id,") || e.getMessage.endsWith(id)), e.getMessage)
   }
 }

@@ -99,17 +99,20 @@ class SparkCurveSpec extends SparkSpec {
       "pts" -> df)
   }
 
-  test("oracle: TPC-H lineitem 2-D layout query equals SQL") {
-    // The cost model applied to a warehouse table: index lineitem on
-    // (quantized quantity × discount cell) and answer a 2-D range query.
-    val li = repro.SynthData.lineitem(spark, sf = 0.002)
-    val cells = li.select(
-      (col("l_quantity") * 2).cast("long").as("xq"), // 1..50 → 2..100 cells
-      (col("l_discount") * 1000).cast("long").as("yq"))
+  test("oracle: 2-D layout query over cast cell columns equals SQL") {
+    // Cell columns derived in Spark, as a table clustered on other numeric
+    // columns would get them: 100 cells per unit coordinate, cast to long.
+    val cells = SpatialData.dataset(spark, "OSM", 3000, 9, bits).select(
+      (col("x") * 100).cast("long").as("xq"), // [0,1) → 0..99 cells
+      (col("y") * 100).cast("long").as("yq"))
     val curve = BMC.zOrder(2, 7)
+    // The curve-value span of the query first (Corollary 1), then the
+    // exact 2-D filter.
     val viaCurve = CurveUdfs.withCurveValue(cells, curve)
+      .where(col("sfc") >= curve.value(Array(10L, 20L)) && col("sfc") <= curve.value(Array(40L, 80L)))
       .where(col("xq") >= 10 && col("xq") <= 40 && col("yq") >= 20 && col("yq") <= 80)
       .select("xq", "yq")
+    assert(viaCurve.count() > 0, "the query must match some points")
     Oracle.assertEquivalent(
       viaCurve,
       "SELECT CAST(xq AS BIGINT) AS xq, CAST(yq AS BIGINT) AS yq FROM cells " +
