@@ -10,12 +10,6 @@ trait SpaceFillingCurve extends Serializable {
   /** Dimensionality of the grid. */
   def d: Int
 
-  /** Bits per dimension (uniform curves return the same value for all). */
-  def bitsOf(dim: Int): Int
-
-  /** Human-readable name used in bench output. */
-  def name: String
-
   /** The 1-D curve value of grid cell `p` (length d). */
   def value(p: Array[Long]): Long
 }
@@ -42,8 +36,6 @@ final class BMC private (val dims: Array[Int], val d: Int) extends SpaceFillingC
     dims.foreach(c(_) += 1)
     c
   }
-
-  override def bitsOf(dim: Int): Int = bitsPerDim(dim)
 
   /** `bitOfDim(r)`: which bit (0-indexed, LSB first) of its dimension the
     * rank-`r` position carries.
@@ -126,8 +118,6 @@ final class BMC private (val dims: Array[Int], val d: Int) extends SpaceFillingC
 
   /** σ as a string, most-significant bit first, e.g. "YXYX". */
   override def toString: String = dims.reverseIterator.map(BMC.letter).mkString
-
-  override def name: String = toString
 
   override def equals(o: Any): Boolean = o match {
     case b: BMC => b.d == d && java.util.Arrays.equals(b.dims, dims)

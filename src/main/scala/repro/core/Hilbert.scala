@@ -11,10 +11,6 @@ final class Hilbert(val d: Int, val bits: Int) extends SpaceFillingCurve {
   require(d >= 1 && bits >= 1 && d * bits <= 62,
     s"unsupported Hilbert shape d=$d bits=$bits")
 
-  override def bitsOf(dim: Int): Int = bits
-
-  override def name: String = s"HC(d=$d,l=$bits)"
-
   private val full = (1L << bits) - 1
 
   /** `spread(byte)`: the 8 bits of `byte`, bit b moved to bit b·d. */

@@ -109,13 +109,32 @@ object LocalCost {
     * to every other dimension, encoded in mixed radix. Construction is the
     * O(n)-scan initialization (ILC); [[edges]]/[[cost]] evaluate any BMC
     * with `d·ℓ` lookups.
+    *
+    * All counts are exact `Long`s: every table entry, drop product and edge
+    * count is a sum of per-query terms each at most V(q), so the workload
+    * is refused unless ΣV(q) ≤ `Long.MaxValue`. Shapes whose tables exceed
+    * [[PatternTables.MaxCells]] cells are refused before anything is
+    * allocated.
     */
   final class PatternTables(queries: Seq[Rect], val d: Int, val bitsPerDim: Array[Int]) {
     require(queries.nonEmpty, "empty workload")
 
+    private def shape: String = s"d=$d, ℓ=${bitsPerDim.mkString("(", ",", ")")}"
+
     /** Dimensions other than b, in ascending order (column radix order). */
     private val others: Array[Array[Int]] =
       Array.tabulate(d)(b => (0 until d).filter(_ != b).toArray)
+
+    /** Columns of Table^b, `Π_{m≠b}(ℓ_m+1)`. */
+    private val numCols: Array[Int] = Array.tabulate(d) { b =>
+      val cols = others(b).foldLeft(BigInt(1))((acc, m) => acc * (bitsPerDim(m) + 1))
+      require(cols.isValidInt, s"pattern table $b for $shape needs $cols columns, over Int.MaxValue")
+      cols.toInt
+    }
+
+    private val cells = (0 until d).map(b => bitsPerDim(b).toLong * numCols(b)).sum
+    require(cells <= PatternTables.MaxCells,
+      s"pattern tables for $shape need $cells cells, over the limit of ${PatternTables.MaxCells}")
 
     /** Mixed-radix stride of each other-dimension in Table^b's columns. */
     private val strides: Array[Array[Long]] = Array.tabulate(d) { b =>
@@ -131,11 +150,20 @@ object LocalCost {
       s
     }
 
-    private def numCols(b: Int): Int =
-      others(b).foldLeft(1L)((acc, m) => acc * (bitsPerDim(m) + 1)).toInt
-
     /** Σ_q V(q), BMC-independent (computed in the same O(n) scan). */
-    val totalVolume: BigInt = queries.foldLeft(BigInt(0))((acc, q) => acc + BigInt(q.volume))
+    val totalVolume: BigInt = {
+      var sum = 0L
+      try for (q <- queries) {
+        var v = 1L
+        var i = 0
+        while (i < q.d) { v = Math.multiplyExact(v, q.extent(i)); i += 1 }
+        sum = Math.addExact(sum, v)
+      } catch {
+        case _: ArithmeticException => throw new IllegalArgumentException(
+          s"workload volume ΣV(q) exceeds Long.MaxValue; its pattern tables ($shape) would overflow")
+      }
+      BigInt(sum)
+    }
 
     /** Number of queries in the workload. */
     val n: Int = queries.size
@@ -241,6 +269,9 @@ object LocalCost {
   }
 
   object PatternTables {
+    /** Most table cells (`Long`s, 512 MiB) one workload's tables may hold. */
+    val MaxCells: Long = 1L << 26
+
     /** Uniform-ℓ convenience constructor. */
     def apply(queries: Seq[Rect], d: Int, bits: Int): PatternTables =
       new PatternTables(queries, d, Array.fill(d)(bits))

@@ -15,10 +15,6 @@ final class PiecewiseBMC(val root: PiecewiseBMC.Node, val d: Int, val bits: Int)
     extends SpaceFillingCurve {
   import PiecewiseBMC._
 
-  override def bitsOf(dim: Int): Int = bits
-
-  override def name: String = s"BMTree(d=$d,l=$bits,depth=$depth)"
-
   /** Maximum split depth of the tree. */
   def depth: Int = {
     def go(n: Node): Int = n match {

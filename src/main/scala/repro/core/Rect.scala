@@ -51,25 +51,6 @@ final case class Rect(lo: Array[Long], hi: Array[Long]) {
     if (inside) Rect.Inside else Rect.Overlaps
   }
 
-  /** Intersection with another rectangle, or None if disjoint. */
-  def clip(other: Rect): Option[Rect] = {
-    val nlo = new Array[Long](d)
-    val nhi = new Array[Long](d)
-    var i = 0
-    while (i < d) {
-      nlo(i) = math.max(lo(i), other.lo(i))
-      nhi(i) = math.min(hi(i), other.hi(i))
-      if (nlo(i) > nhi(i)) return None
-      i += 1
-    }
-    Some(Rect(nlo, nhi))
-  }
-
-  /** Translate so that `origin` becomes the zero cell (BMTree sub-spaces). */
-  def translate(origin: Array[Long]): Rect =
-    Rect(lo.indices.map(i => lo(i) - origin(i)).toArray,
-         hi.indices.map(i => hi(i) - origin(i)).toArray)
-
   def show: String =
     lo.indices.map(i => s"[${lo(i)},${hi(i)}]").mkString("×")
 

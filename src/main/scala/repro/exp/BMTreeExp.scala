@@ -41,8 +41,8 @@ object BMTreeExp {
           bits: Int = DefaultBits,
           blockSize: Int = DefaultBlock,
           edge: Long = DefaultEdge,
-          rewards: Seq[BMTree.Reward] = Seq(BMTree.SPReward, BMTree.GCReward, BMTree.LCReward),
-          seed: Long = 21): Seq[VariantRow] = {
+          rewards: Seq[BMTree.Reward] = Seq(BMTree.SPReward, BMTree.GCReward, BMTree.LCReward)): Seq[VariantRow] = {
+    val seed = 21L
     val data = SpatialGen.quantizeAll(SpatialGen.points(dist, n, seed), bits)
     val learnQs = Workloads.squares(dist, nQueries, edge, bits, seed + 1)
     val testQs = Workloads.squares(dist, 2 * nQueries, edge, bits, seed + 2)
@@ -64,23 +64,23 @@ object BMTreeExp {
   }
 
   /** Fig. 11: vary the dataset cardinality N. */
-  def varyCardinality(ns: Seq[Int] = Seq(10_000, 100_000, 1_000_000)): Seq[(Int, Seq[VariantRow])] = {
+  def varyCardinality(): Seq[(Int, Seq[VariantRow])] = {
     warmup()
-    ns.map(n => (n, run(n = n)))
+    Seq(10_000, 100_000, 1_000_000).map(n => (n, run(n = n)))
   }
 
   /** Fig. 12: vary the number of learning queries n. */
-  def varyQueries(qs: Seq[Int] = Seq(50, 100, 200, 400)): Seq[(Int, Seq[VariantRow])] = {
+  def varyQueries(): Seq[(Int, Seq[VariantRow])] = {
     warmup()
-    qs.map(q => (q, run(nQueries = q)))
+    Seq(50, 100, 200, 400).map(q => (q, run(nQueries = q)))
   }
 
   /** Fig. 13: vary the sampling rate ρ (SP only) and the depth h (all). */
-  def varySamplingAndDepth(
-      dist: String = "SKEW",
-      rhos: Seq[Double] = Seq(0.001, 0.01, 0.1),
-      hs: Seq[Int] = Seq(4, 6, 8)): (Seq[(Double, Int, VariantRow)], Seq[(Int, VariantRow)], Seq[(Int, VariantRow)]) = {
+  def varySamplingAndDepth(): (Seq[(Double, Int, VariantRow)], Seq[(Int, VariantRow)], Seq[(Int, VariantRow)]) = {
     warmup()
+    val dist = "SKEW"
+    val rhos = Seq(0.001, 0.01, 0.1)
+    val hs = Seq(4, 6, 8)
     val sp = for (h <- hs; rho <- rhos)
       yield (rho, h, run(dist = dist, h = h, rho = rho, rewards = Seq(BMTree.SPReward)).head)
     val gc = hs.map(h => (h, run(dist = dist, h = h, rewards = Seq(BMTree.GCReward)).head))

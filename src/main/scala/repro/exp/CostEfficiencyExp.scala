@@ -31,9 +31,11 @@ object CostEfficiencyExp {
   val DefaultDelta = 256L
   val DefaultBits = 10
   val DefaultD = 2
+  private val Seed = 11L
 
-  private def queries(n: Int, delta: Long, bits: Int, d: Int, seed: Long): Array[Rect] = {
-    val rng = new Random(seed)
+  /** Built as a `Seq` once, so no timed call copies the workload. */
+  private def queries(n: Int, delta: Long, bits: Int, d: Int): Seq[Rect] = {
+    val rng = new Random(Seed)
     val k = 1L << bits
     val edge = math.min(delta, k)
     Array.fill(n) {
@@ -46,11 +48,11 @@ object CostEfficiencyExp {
         i += 1
       }
       Rect(lo, hi)
-    }
+    }.toSeq
   }
 
-  private def candidates(d: Int, bits: Int, m: Int, seed: Long): Array[BMC] = {
-    val rng = new Random(seed)
+  private def candidates(d: Int, bits: Int, m: Int): Array[BMC] = {
+    val rng = new Random(Seed + 1)
     Array.fill(m)(BMC.random(d, bits, rng))
   }
 
@@ -66,9 +68,9 @@ object CostEfficiencyExp {
 
   /** Global-cost measurement at one parameter point. */
   def global(n: Int = DefaultN, delta: Long = DefaultDelta, bits: Int = DefaultBits,
-             d: Int = DefaultD, m: Int = 50, seed: Long = 11): Row = {
-    val qs = queries(n, delta, bits, d, seed)
-    val cands = candidates(d, bits, m, seed + 1)
+             d: Int = DefaultD, m: Int = 50): Row = {
+    val qs = queries(n, delta, bits, d)
+    val cands = candidates(d, bits, m)
     val est0 = GlobalCost.Estimator(qs, d, bits)
     warmup(60) { est0.cost(cands(0)); GlobalCost.naive(qs.take(4), cands(0)) }
     // IGC: the one-off O(n) scan.
@@ -86,9 +88,9 @@ object CostEfficiencyExp {
     * O(V) per query, so it is measured over `mNaive` candidates only.
     */
   def local(n: Int = DefaultN, delta: Long = DefaultDelta, bits: Int = DefaultBits,
-            d: Int = DefaultD, m: Int = 50, mNaive: Int = 2, seed: Long = 11): Row = {
-    val qs = queries(n, delta, bits, d, seed)
-    val cands = candidates(d, bits, m, seed + 1)
+            d: Int = DefaultD, m: Int = 50, mNaive: Int = 2): Row = {
+    val qs = queries(n, delta, bits, d)
+    val cands = candidates(d, bits, m)
     val tables0 = LocalCost.PatternTables(qs, d, bits)
     warmup(60)(tables0.cost(cands(0)))
     val initNanos = TableFmt.bestOf(3)(LocalCost.PatternTables(qs, d, bits))
@@ -96,7 +98,7 @@ object CostEfficiencyExp {
     var sink = BigInt(0)
     val fast = TableFmt.bestOf(5) { cands.foreach(c => sink += tables.cost(c)) }
     val naiveCands = cands.take(mNaive)
-    val (_, naive) = TableFmt.timed { naiveCands.foreach(c => sink += LocalCost.naive(qs.toSeq, c)) }
+    val (_, naive) = TableFmt.timed { naiveCands.foreach(c => sink += LocalCost.naive(qs, c)) }
     require(sink != BigInt(-1))
     Row(s"n=$n,δ=$delta,ℓ=$bits,d=$d", initNanos, fast.toDouble / m, naive.toDouble / mNaive)
   }

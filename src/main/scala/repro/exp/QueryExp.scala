@@ -1,7 +1,7 @@
 package repro.exp
 
 import repro.core._
-import repro.learn.{BMTree, LBMC, LBMCConfig, Quilts}
+import repro.learn.{BMTree, LBMC, Quilts}
 
 /** Query-efficiency and learning-time experiments (Section 6.4:
   * Figures 14–17 and Table 7).
@@ -26,20 +26,16 @@ object QueryExp {
   final case class CurveRow(name: String, curve: SpaceFillingCurve)
 
   /** Build all six competitors for one dataset + learning workload. */
-  def competitors(dist: String,
-                  data: Array[Array[Long]],
+  def competitors(data: Array[Array[Long]],
                   learnQs: Array[Rect],
                   bits: Int = DefaultBits,
                   h: Int = DefaultH,
-                  rho: Double = DefaultRho,
-                  blockSize: Int = DefaultBlock,
-                  seed: Long = 31,
-                  lbmcCfg: LBMCConfig = LBMCConfig()): Seq[CurveRow] = {
+                  rho: Double = DefaultRho): Seq[CurveRow] = {
     val wc = WorkloadCost(learnQs.toSeq, 2, bits)
     Seq(
-      CurveRow("LBMC", new LBMC(wc, lbmcCfg).learn(BMC.zOrder(2, bits)).best),
+      CurveRow("LBMC", new LBMC(wc).learn(BMC.zOrder(2, bits)).best),
       CurveRow("BMTree",
-        BMTree.learn(learnQs.toSeq, data, 2, bits, h, rho, BMTree.SPReward, blockSize, seed).curve),
+        BMTree.learn(learnQs.toSeq, data, 2, bits, h, rho, BMTree.SPReward, DefaultBlock, seed = 31).curve),
       CurveRow("QUILTS", Quilts.design(wc, bits)._1),
       CurveRow("ZC", BMC.zOrder(2, bits)),
       CurveRow("HC", new Hilbert(2, bits)),
@@ -56,52 +52,47 @@ object QueryExp {
     }
 
   /** Fig. 14: all curves on all four datasets. */
-  def overall(n: Int = DefaultN, bits: Int = DefaultBits, edge: Long = DefaultEdge,
-              seed: Long = 41): Seq[(String, Seq[(String, Double)])] =
+  def overall(): Seq[(String, Seq[(String, Double)])] = {
+    val seed = 41L
     SpatialGen.Distributions.map { dist =>
-      val data = SpatialGen.quantizeAll(SpatialGen.points(dist, n, seed), bits)
-      val learnQs = Workloads.squares(dist, LearnQueries, edge, bits, seed + 1)
-      val testQs = Workloads.squares(dist, TestQueries, edge, bits, seed + 2)
-      val curves = competitors(dist, data, learnQs, bits)
-      (dist, evaluate(data, curves, testQs))
+      val data = SpatialGen.quantizeAll(SpatialGen.points(dist, DefaultN, seed), DefaultBits)
+      val learnQs = Workloads.squares(dist, LearnQueries, DefaultEdge, DefaultBits, seed + 1)
+      val testQs = Workloads.squares(dist, TestQueries, DefaultEdge, DefaultBits, seed + 2)
+      (dist, evaluate(data, competitors(data, learnQs), testQs))
     }
+  }
 
   /** Fig. 15: vary the dataset cardinality (OSM-like). */
-  def varyCardinality(ns: Seq[Int] = Seq(10_000, 100_000, 1_000_000),
-                      bits: Int = DefaultBits, edge: Long = DefaultEdge,
-                      seed: Long = 51): Seq[(Int, Seq[(String, Double)])] =
-    ns.map { n =>
-      val data = SpatialGen.quantizeAll(SpatialGen.points("OSM", n, seed), bits)
-      val learnQs = Workloads.squares("OSM", LearnQueries, edge, bits, seed + 1)
-      val testQs = Workloads.squares("OSM", TestQueries, edge, bits, seed + 2)
-      val curves = competitors("OSM", data, learnQs, bits)
-      (n, evaluate(data, curves, testQs))
+  def varyCardinality(): Seq[(Int, Seq[(String, Double)])] = {
+    val seed = 51L
+    Seq(10_000, 100_000, 1_000_000).map { n =>
+      val data = SpatialGen.quantizeAll(SpatialGen.points("OSM", n, seed), DefaultBits)
+      val learnQs = Workloads.squares("OSM", LearnQueries, DefaultEdge, DefaultBits, seed + 1)
+      val testQs = Workloads.squares("OSM", TestQueries, DefaultEdge, DefaultBits, seed + 2)
+      (n, evaluate(data, competitors(data, learnQs), testQs))
     }
+  }
 
   /** Fig. 16: vary the query aspect ratio at fixed area (OSM-like). */
-  def varyAspectRatio(ratios: Seq[Double] = Seq(16.0, 4.0, 1.0, 0.25, 0.0625),
-                      n: Int = DefaultN, bits: Int = DefaultBits, edge: Long = DefaultEdge,
-                      seed: Long = 61): Seq[(String, Seq[(String, Double)])] = {
-    val data = SpatialGen.quantizeAll(SpatialGen.points("OSM", n, seed), bits)
-    ratios.map { r =>
-      val learnQs = Workloads.withAspectRatio("OSM", LearnQueries, edge, r, bits, seed + 1)
-      val testQs = Workloads.withAspectRatio("OSM", TestQueries, edge, r, bits, seed + 2)
-      val curves = competitors("OSM", data, learnQs, bits)
+  def varyAspectRatio(): Seq[(String, Seq[(String, Double)])] = {
+    val seed = 61L
+    val data = SpatialGen.quantizeAll(SpatialGen.points("OSM", DefaultN, seed), DefaultBits)
+    Seq(16.0, 4.0, 1.0, 0.25, 0.0625).map { r =>
+      val learnQs = Workloads.withAspectRatio("OSM", LearnQueries, DefaultEdge, r, DefaultBits, seed + 1)
+      val testQs = Workloads.withAspectRatio("OSM", TestQueries, DefaultEdge, r, DefaultBits, seed + 2)
       val label = if (r >= 1) s"${r.toInt}:1" else s"1:${(1 / r).toInt}"
-      (label, evaluate(data, curves, testQs))
+      (label, evaluate(data, competitors(data, learnQs), testQs))
     }
   }
 
   /** Fig. 17: vary the query edge length (OSM-like). */
-  def varyEdge(edges: Seq[Long] = Seq(2048, 4096, 8192, 16384),
-               n: Int = DefaultN, bits: Int = DefaultBits,
-               seed: Long = 71): Seq[(Long, Seq[(String, Double)])] = {
-    val data = SpatialGen.quantizeAll(SpatialGen.points("OSM", n, seed), bits)
-    edges.map { e =>
-      val learnQs = Workloads.squares("OSM", LearnQueries, e, bits, seed + 1)
-      val testQs = Workloads.squares("OSM", TestQueries, e, bits, seed + 2)
-      val curves = competitors("OSM", data, learnQs, bits)
-      (e, evaluate(data, curves, testQs))
+  def varyEdge(): Seq[(Long, Seq[(String, Double)])] = {
+    val seed = 71L
+    val data = SpatialGen.quantizeAll(SpatialGen.points("OSM", DefaultN, seed), DefaultBits)
+    Seq(2048L, 4096L, 8192L, 16384L).map { e =>
+      val learnQs = Workloads.squares("OSM", LearnQueries, e, DefaultBits, seed + 1)
+      val testQs = Workloads.squares("OSM", TestQueries, e, DefaultBits, seed + 2)
+      (e, evaluate(data, competitors(data, learnQs), testQs))
     }
   }
 
@@ -112,7 +103,7 @@ object QueryExp {
     * An untimed pass at N = 5,000 first lets the JIT compile the learners,
     * so the first timed row does not run in a cold JVM.
     */
-  def learningTime(ns: Seq[Int] = Seq(10_000, 100_000, 1_000_000)): Seq[LearningTime] = {
+  def learningTime(): Seq[LearningTime] = {
     val bits = DefaultBits
     val learnQs = Workloads.squares("OSM", LearnQueries, DefaultEdge, bits, 3).toSeq
     def measure(n: Int): LearningTime = {
@@ -120,12 +111,12 @@ object QueryExp {
       val bmtree = BMTree.learn(learnQs, data, 2, bits, DefaultH, DefaultRho,
         BMTree.SPReward, DefaultBlock)
       val (wc, wcNanos) = TableFmt.timed(WorkloadCost(learnQs, 2, bits))
-      val lbmc = new LBMC(wc, LBMCConfig()).learn(BMC.zOrder(2, bits))
+      val lbmc = new LBMC(wc).learn(BMC.zOrder(2, bits))
       val (_, quiltsNanos) = TableFmt.timed(Quilts.design(wc, bits))
       LearningTime(n, bmtree.totalNanos, wcNanos + lbmc.totalNanos, wcNanos + quiltsNanos)
     }
     measure(5_000)
-    ns.map(measure)
+    Seq(10_000, 100_000, 1_000_000).map(measure)
   }
 
   def table7Table(rows: Seq[LearningTime]): String =

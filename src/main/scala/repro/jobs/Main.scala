@@ -49,7 +49,7 @@ object Main {
     val n = args.lift(1).map(_.toInt).getOrElse(200_000)
     val out = args.lift(2).getOrElse(
       java.nio.file.Files.createTempDirectory("sfc-layout").toString)
-    val spark = SparkSession.builder
+    val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("sfc-layout").getOrCreate()
     try LayoutExp.run(spark, dist, n, out)

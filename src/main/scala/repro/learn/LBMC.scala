@@ -4,30 +4,13 @@ import java.util.Random
 import repro.core.{BMC, WorkloadCost}
 import scala.collection.mutable.ArrayBuffer
 
-/** Configuration for the LBMC learner (Algorithm 3).
+/** Configuration for the LBMC learner (Algorithm 3); the other settings
+  * are the fixed constants in [[LBMC$ object LBMC]].
   *
   * @param episodes    M — number of learning episodes
   * @param steps       T — bit swaps per episode
-  * @param exploitStart ε at the first step (probability of exploiting)
-  * @param exploitEnd   ε at the last step (linear schedule)
-  * @param gamma       discount factor of the Q target
-  * @param hidden      hidden width of the DQN
-  * @param batch       replay minibatch size
-  * @param replay      replay-memory capacity N_MQ
-  * @param targetSync  steps between target-network syncs
   */
-final case class LBMCConfig(
-    episodes: Int = 30,
-    steps: Int = 40,
-    exploitStart: Double = 0.5,
-    exploitEnd: Double = 0.95,
-    gamma: Double = 0.9,
-    hidden: Int = 64,
-    batch: Int = 32,
-    replay: Int = 2048,
-    targetSync: Int = 50,
-    lr: Double = 1e-3,
-    seed: Long = 42)
+final case class LBMCConfig(episodes: Int = 30, steps: Int = 40, seed: Long = 42)
 
 /** Result of an LBMC run. */
 final case class LBMCResult(
@@ -47,6 +30,7 @@ final case class LBMCResult(
   * and a target network selects swaps ε-greedily.
   */
 final class LBMC(cost: WorkloadCost, cfg: LBMCConfig = LBMCConfig()) {
+  import LBMC._
 
   private val d = cost.d
   private val L = cost.bitsPerDim.sum
@@ -79,8 +63,8 @@ final class LBMC(cost: WorkloadCost, cfg: LBMCConfig = LBMCConfig()) {
     }
 
     val rng = new Random(cfg.seed)
-    val qNet = new MLP(Array(stateSize, cfg.hidden, nActions), cfg.seed + 1, cfg.lr)
-    val target = new MLP(Array(stateSize, cfg.hidden, nActions), cfg.seed + 1, cfg.lr)
+    val qNet = new MLP(Array(stateSize, Hidden, nActions), cfg.seed + 1, LearningRate)
+    val target = new MLP(Array(stateSize, Hidden, nActions), cfg.seed + 1, LearningRate)
     target.copyWeightsFrom(qNet)
 
     // Replay memory MQ: (state, action, reward, nextState, nextValidActions).
@@ -99,8 +83,8 @@ final class LBMC(cost: WorkloadCost, cfg: LBMCConfig = LBMCConfig()) {
       var state = encode(sigma)
       for (_ <- 1 to cfg.steps) {
         val valid = validActions(sigma)
-        val exploit = cfg.exploitStart +
-          (cfg.exploitEnd - cfg.exploitStart) * globalStep / math.max(1, totalSteps - 1)
+        val exploit = ExploitStart +
+          (ExploitEnd - ExploitStart) * globalStep / math.max(1, totalSteps - 1)
         val action =
           if (rng.nextDouble() >= exploit) valid(rng.nextInt(valid.length))
           else {
@@ -113,20 +97,20 @@ final class LBMC(cost: WorkloadCost, cfg: LBMCConfig = LBMCConfig()) {
         val nextState = encode(next)
         val nextValid = validActions(next)
 
-        if (mq.size >= cfg.replay) mq.remove(0)
+        if (mq.size >= Replay) mq.remove(0)
         mq += ((state, action, reward, nextState, nextValid))
 
-        if (mq.size >= cfg.batch) {
-          val batch = Seq.fill(cfg.batch)(mq(rng.nextInt(mq.size)))
+        if (mq.size >= Batch) {
+          val batch = Seq.fill(Batch)(mq(rng.nextInt(mq.size)))
           val samples = batch.map { case (s, a, r, s2, v2) =>
             val q2 = target.forward(s2)
             val maxQ = if (v2.isEmpty) 0.0 else v2.map(q2(_)).max
-            (s, a, r + cfg.gamma * maxQ)
+            (s, a, r + Gamma * maxQ)
           }
           qNet.trainBatch(samples)
         }
         globalStep += 1
-        if (globalStep % cfg.targetSync == 0) target.copyWeightsFrom(qNet)
+        if (globalStep % TargetSync == 0) target.copyWeightsFrom(qNet)
 
         sigma = next
         curCost = nextCost
@@ -137,4 +121,23 @@ final class LBMC(cost: WorkloadCost, cfg: LBMCConfig = LBMCConfig()) {
     }
     LBMCResult(best, cost.cost(best), trace.result(), rewardNanos, System.nanoTime() - t0)
   }
+}
+
+object LBMC {
+  /** ε at the first step: the probability of exploiting (linear schedule). */
+  val ExploitStart = 0.5
+  /** ε at the last step. */
+  val ExploitEnd = 0.95
+  /** Discount factor of the Q target. */
+  val Gamma = 0.9
+  /** Hidden width of the DQN. */
+  val Hidden = 64
+  /** Replay minibatch size. */
+  val Batch = 32
+  /** Replay-memory capacity N_MQ. */
+  val Replay = 2048
+  /** Steps between target-network syncs. */
+  val TargetSync = 50
+  /** SGD learning rate of the DQN. */
+  val LearningRate = 1e-3
 }

@@ -1,6 +1,6 @@
 package repro.learn
 
-import repro.core.{BMC, Rect, WorkloadCost}
+import repro.core.{BMC, PiecewiseBMC, Rect, WorkloadCost}
 
 /** QUILTS (Nishimura & Yokota, SIGMOD'17), re-implemented from the
   * description in Section 2 of the reproduced paper (the original code is
@@ -28,17 +28,6 @@ object Quilts {
 
     // An arrangement turns a per-dimension bit-count into an LSB-first
     // dimension sequence.
-    def interleaved(counts: Array[Int]): Seq[Int] = {
-      val out = Seq.newBuilder[Int]
-      var level = 0
-      val max = counts.max
-      while (level < max) {
-        var i = 0
-        while (i < d) { if (level < counts(i)) out += i; i += 1 }
-        level += 1
-      }
-      out.result()
-    }
     def majorOrder(counts: Array[Int], order: Seq[Int]): Seq[Int] =
       // LSB-first: the *last* dimension in `order` is most significant.
       order.reverse.flatMap(i => Seq.fill(counts(i))(i))
@@ -46,7 +35,7 @@ object Quilts {
     val dimPerms = (0 until d).permutations.toSeq
     def arrangements(counts: Array[Int]): Seq[Seq[Int]] =
       if (counts.forall(_ == 0)) Seq(Seq.empty)
-      else (interleaved(counts) +: dimPerms.map(majorOrder(counts, _))).distinct
+      else (PiecewiseBMC.interleave(counts).dims.toSeq +: dimPerms.map(majorOrder(counts, _))).distinct
 
     val highBits = Array.tabulate(d)(i => bits - lowBits(i))
     val designed = for {

@@ -9,15 +9,16 @@ import repro.core.{Rect, SpaceFillingCurve}
   * [[repro.core.ClusteredIndex]] (the two are asserted equal in tests).
   *
   * Pipeline: curve value per point (UDF) → global sort → dense global rank
-  * → block id (`rank / B`) → per-query distinct-block count. The global
-  * rank is assigned with `zipWithIndex` on the sorted distributed rows:
-  * unlike a `row_number()` window (which funnels every row through one
-  * partition) it preserves Spark's range-partitioned sort, so the pipeline
-  * scales with the data.
+  * → block id (`rank / B`) → range join with the workload → per-query
+  * distinct-block count. The global rank is assigned with `zipWithIndex`
+  * on the sorted distributed rows: unlike a `row_number()` window (which
+  * funnels every row through one partition) it preserves Spark's
+  * range-partitioned sort, so the pipeline scales with the data.
   */
 object BlockAccess {
 
-  /** Per-query block-access counts.
+  /** Per-query block-access counts: the distinct blocks holding at least
+    * one point inside the query (bounds inclusive).
     *
     * @param points  DataFrame with quantized cell columns `xq`, `yq`
     * @param curve   the SFC ordering the table
@@ -36,23 +37,13 @@ object BlockAccess {
     val ranked = sorted.rdd.zipWithIndex().map { case ((x, y), rank) =>
       (x, y, rank / blockSize)
     }.toDF("xq", "yq", "block")
+    // The workload is small (≤ a few thousand rects), so it is broadcast.
+    val workload = queries.toSeq.zipWithIndex.map { case (q, i) =>
+      (i, q.lo(0), q.hi(0), q.lo(1), q.hi(1))
+    }.toDF("qid", "x0", "x1", "y0", "y1")
 
-    // The workload is small (≤ a few thousand rects); ship it in the
-    // closure and match each point against it with a per-partition index.
-    val qlo = queries.map(q => (q.lo(0), q.lo(1)))
-    val qhi = queries.map(q => (q.hi(0), q.hi(1)))
-    val hits = ranked.as[(Long, Long, Long)].mapPartitions { it =>
-      it.flatMap { case (x, y, block) =>
-        // Queries are few; a linear scan per point is the simple, exact
-        // match (the bench-scale bottleneck is the sort, not this scan).
-        (0 until qlo.length).iterator.collect {
-          case i if x >= qlo(i)._1 && x <= qhi(i)._1 &&
-                    y >= qlo(i)._2 && y <= qhi(i)._2 => (i, block)
-        }
-      }
-    }.toDF("qid", "block")
-
-    hits.distinct().groupBy("qid").agg(count(lit(1)) as "blocks")
+    ranked.join(broadcast(workload), $"xq".between($"x0", $"x1") && $"yq".between($"y0", $"y1"))
+      .groupBy("qid").agg(countDistinct("block") as "blocks")
   }
 
   /** Mean block accesses over the workload (queries matching no point

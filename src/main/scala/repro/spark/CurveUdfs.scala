@@ -1,6 +1,6 @@
 package repro.spark
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.expressions.UserDefinedFunction
 import org.apache.spark.sql.functions.udf
 import repro.core.SpaceFillingCurve
@@ -16,19 +16,16 @@ object CurveUdfs {
     udf((x: Long, y: Long) => curve.value(Array(x, y)))
   }
 
-  /** Append a curve-value column computed from `xq`/`yq` cell columns. */
-  def withCurveValue(df: DataFrame, curve: SpaceFillingCurve,
-                     xq: String = "xq", yq: String = "yq",
-                     out: String = "sfc"): DataFrame =
-    df.withColumn(out, curveValue2d(curve)(df(xq), df(yq)))
+  /** Append the curve-value column `sfc` computed from the `xq`/`yq` cell
+    * columns.
+    */
+  def withCurveValue(df: DataFrame, curve: SpaceFillingCurve): DataFrame =
+    df.withColumn("sfc", curveValue2d(curve)(df("xq"), df("yq")))
 
   /** Register `name(xq, yq)` as a SQL function computing the curve value,
     * so Spark SQL statements (e.g. `ORDER BY sfc_value(xq, yq)` or a
     * `CREATE TABLE ... AS SELECT`) can use the chosen curve directly.
     */
-  def registerSql(spark: org.apache.spark.sql.SparkSession,
-                  name: String, curve: SpaceFillingCurve): Unit = {
-    require(curve.d == 2, s"curve is ${curve.d}-dimensional, expected 2")
-    spark.udf.register(name, (x: Long, y: Long) => curve.value(Array(x, y)))
-  }
+  def registerSql(spark: SparkSession, name: String, curve: SpaceFillingCurve): Unit =
+    spark.udf.register(name, curveValue2d(curve))
 }

@@ -206,6 +206,27 @@ class LocalCostSpec extends SparkSpec {
     intercept[IllegalArgumentException](LocalCost.PatternTables(Seq.empty, 2, 3))
   }
 
+  test("tables refuse a workload whose ΣV(q) overflows Long (d=3, ℓ=20)") {
+    // Z-order-aligned cubes of side 2^18: V(q) = 2^54, one section each.
+    val side = 1L << 18
+    val rng = new Random(15)
+    val cubes = Seq.fill(1024) {
+      val lo = Array.fill(3)(rng.nextInt(4) * side)
+      Rect(lo, lo.map(_ + side - 1))
+    }
+    val e = intercept[IllegalArgumentException](LocalCost.PatternTables(cubes, 3, 20))
+    assert(e.getMessage.contains("d=3"), e.getMessage)
+    // 511 of them, ΣV = 511·2^54 just below Long.MaxValue, stay exact.
+    val tables = LocalCost.PatternTables(cubes.take(511), 3, 20)
+    assert(tables.cost(BMC.zOrder(3, 20)) == BigInt(511))
+  }
+
+  test("tables refuse a d=8, ℓ=7 shape before allocating 896 MiB") {
+    val q = Rect(Array.fill(8)(0L), Array.fill(8)(1L))
+    val e = intercept[IllegalArgumentException](LocalCost.PatternTables(Seq(q), 8, 7))
+    assert(e.getMessage.contains("d=8") && e.getMessage.contains("117440512 cells"), e.getMessage)
+  }
+
   test("non-uniform bits per dimension: tables equal per-query counting") {
     val bitsPerDim = Array(3, 1)
     val rng = new Random(15)

@@ -132,21 +132,6 @@ class PropertySpec extends SparkSpec {
     }, minTests = 40)
   }
 
-  test("property: query clipping is sound") {
-    check(Prop.forAll(Gen.choose(2, 3), Gen.choose(2, 4), seedGen) { (d, l, seed) =>
-      val rng = new java.util.Random(seed)
-      val a = rectOf(d, l, rng)
-      val b = rectOf(d, l, rng)
-      a.clip(b) match {
-        case Some(c) =>
-          (0 until d).forall(i => c.lo(i) >= a.lo(i) && c.lo(i) >= b.lo(i) &&
-            c.hi(i) <= a.hi(i) && c.hi(i) <= b.hi(i)) && c.volume >= 1
-        case None =>
-          (0 until d).exists(i => a.hi(i) < b.lo(i) || b.hi(i) < a.lo(i))
-      }
-    })
-  }
-
   test("property: ClusteredIndex accesses bounded by matches and ceil(N/B)+1") {
     check(Prop.forAll(Gen.choose(2, 4), seedGen, Gen.choose(1, 64)) { (l, seed, blockSize) =>
       val rng = new java.util.Random(seed)

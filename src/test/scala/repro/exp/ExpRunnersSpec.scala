@@ -53,7 +53,7 @@ class ExpRunnersSpec extends SparkSpec {
     val bits = 8
     val data = SpatialGen.quantizeAll(SpatialGen.points("UNI", 3000, 1), bits)
     val qs = Workloads.squares("UNI", 20, 16, bits, 2)
-    val curves = QueryExp.competitors("UNI", data, qs, bits, h = 3, rho = 0.05)
+    val curves = QueryExp.competitors(data, qs, bits, h = 3, rho = 0.05)
     assert(curves.map(_.name) == Seq("LBMC", "BMTree", "QUILTS", "ZC", "HC", "LC"))
     // All curves are evaluable.
     val rows = QueryExp.evaluate(data, curves, qs, blockSize = 32)

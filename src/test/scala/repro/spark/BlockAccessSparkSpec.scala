@@ -14,16 +14,32 @@ class BlockAccessSparkSpec extends SparkSpec {
       val seed = 11L
       val pts = SpatialGen.quantizeAll(SpatialGen.points(dist, n, seed), bits)
       val df = SpatialData.dataset(spark, dist, n, seed, bits)
-      val queries = Workloads.squares(dist, 25, 24, bits, seed + 1)
+      val cells = pts.map(p => (p(0), p(1)))
+      assert(cells.distinct.length < n, "expected points sharing a cell")
+      // Bounds equal to point coordinates: single cells and boxes whose
+      // corners come from two points.
+      val onPoints = (0 until 10).map { i =>
+        val ((x0, y0), (x1, y1)) = (cells(i), cells(if (i < 5) i else i + 100))
+        Rect.of2d(math.min(x0, x1), math.max(x0, x1), math.min(y0, y1), math.max(y0, y1))
+      }
+      val k = 1L << bits
+      val occupied = cells.toSet
+      val (ex, ey) = (for (x <- 0L until k; y <- 0L until k) yield (x, y)).find(!occupied(_)).get
+      val queries = Workloads.squares(dist, 25, 24, bits, seed + 1) ++ onPoints :+ Rect.of2d(ex, ex, ey, ey)
       val curve = BMC.zOrder(2, bits)
-      val b = 64
 
-      val driver = ClusteredIndex.build(pts, curve, b)
-      val sparkRows = BlockAccess.perQuery(spark, df, curve, b, queries)
-        .collect().map(r => r.getInt(0) -> r.getLong(1)).toMap
-      queries.zipWithIndex.foreach { case (q, i) =>
-        assert(sparkRows.getOrElse(i, 0L) == driver.blockAccesses(q),
-          s"query $i ${q.show}")
+      // B = 1 puts points sharing a cell into different blocks.
+      for (b <- Seq(64, 1)) {
+        val driver = ClusteredIndex.build(pts, curve, b)
+        val sparkRows = BlockAccess.perQuery(spark, df, curve, b, queries)
+          .collect().map(r => r.getInt(0) -> r.getLong(1)).toMap
+        queries.zipWithIndex.foreach { case (q, i) =>
+          assert(sparkRows.getOrElse(i, 0L) == driver.blockAccesses(q),
+            s"B=$b query $i ${q.show}")
+        }
+        assert(!sparkRows.contains(queries.length - 1), "a query matching no point has no row")
+        val sparkAvg = BlockAccess.average(spark, df, curve, b, queries)
+        assert(math.abs(sparkAvg - driver.avgBlockAccesses(queries.toSeq)) < 1e-9, s"B=$b")
       }
     }
   }
