@@ -98,7 +98,11 @@ object CostEfficiencyExp {
     var sink = BigInt(0)
     val fast = TableFmt.bestOf(5) { cands.foreach(c => sink += tables.cost(c)) }
     val naiveCands = cands.take(mNaive)
-    val (_, naive) = TableFmt.timed { naiveCands.foreach(c => sink += LocalCost.naive(qs, c)) }
+    // Best of up to 5 scans within 0.2 s: the cheap ones (small δ or n) are
+    // single-digit ms, where one pause would otherwise dominate the reading.
+    val naive = TableFmt.bestOf(5, budgetNanos = 200_000_000L) {
+      naiveCands.foreach(c => sink += LocalCost.naive(qs, c))
+    }
     require(sink != BigInt(-1))
     Row(s"n=$n,δ=$delta,ℓ=$bits,d=$d", initNanos, fast.toDouble / m, naive.toDouble / mNaive)
   }

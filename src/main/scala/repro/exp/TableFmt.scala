@@ -29,13 +29,17 @@ object TableFmt {
     (r, System.nanoTime() - t0)
   }
 
-  /** Best-of-`reps` timing of a side-effect-free thunk (JIT warmup). */
-  def bestOf[A](reps: Int)(f: => A): Long = {
+  /** Best-of-`reps` timing of a side-effect-free thunk (JIT warmup). Runs
+    * stop early once they total `budgetNanos`, so a costly thunk runs once.
+    */
+  def bestOf[A](reps: Int, budgetNanos: Long = Long.MaxValue)(f: => A): Long = {
     var best = Long.MaxValue
+    var spent = 0L
     var i = 0
-    while (i < reps) {
+    while (i < reps && spent < budgetNanos) {
       val (_, t) = timed(f)
       if (t < best) best = t
+      spent += t
       i += 1
     }
     best

@@ -34,15 +34,29 @@ final class MLP(val sizes: Array[Int], seed: Long, val lr: Double = 1e-3) extend
   private val beta2 = 0.999
   private val eps = 1e-8
 
-  /** Forward pass returning all layer activations (index 0 = input). */
-  private def forwardAll(x: Array[Double]): Array[Array[Double]] = {
+  // Training buffers, allocated once: gradients, and per layer the
+  // activations and the deltas of one sample.
+  private val gw = w.map(_.map(row => new Array[Double](row.length)))
+  private val gb = b.map(row => new Array[Double](row.length))
+  private val acts = layerBuffers()
+  private val deltas = layerBuffers()
+
+  /** One array per layer 1..L. Index 0 stays empty: the input activations
+    * are the caller's array, and the input layer needs no delta.
+    */
+  private def layerBuffers(): Array[Array[Double]] =
+    Array.tabulate(L + 1)(l => if (l == 0) null else new Array[Double](sizes(l)))
+
+  /** Forward pass writing every layer's activations into `acts` (index 0
+    * becomes the input itself); returns the output layer.
+    */
+  private def forwardInto(x: Array[Double], acts: Array[Array[Double]]): Array[Double] = {
     require(x.length == sizes(0), s"input size ${x.length} != ${sizes(0)}")
-    val acts = new Array[Array[Double]](L + 1)
     acts(0) = x
     var l = 0
     while (l < L) {
       val in = acts(l)
-      val out = new Array[Double](sizes(l + 1))
+      val out = acts(l + 1)
       val wl = w(l); val bl = b(l)
       var o = 0
       while (o < out.length) {
@@ -53,14 +67,13 @@ final class MLP(val sizes: Array[Int], seed: Long, val lr: Double = 1e-3) extend
         out(o) = if (l < L - 1 && s < 0) 0.0 else s // ReLU on hidden layers
         o += 1
       }
-      acts(l + 1) = out
       l += 1
     }
-    acts
+    acts(L)
   }
 
   /** Network output for input `x`. */
-  def forward(x: Array[Double]): Array[Double] = forwardAll(x).last
+  def forward(x: Array[Double]): Array[Double] = forwardInto(x, layerBuffers())
 
   /** One Adam step on a minibatch. Each sample supplies the target value
     * for exactly one output unit (`action`); returns the mean squared
@@ -68,52 +81,53 @@ final class MLP(val sizes: Array[Int], seed: Long, val lr: Double = 1e-3) extend
     */
   def trainBatch(batch: Seq[(Array[Double], Int, Double)]): Double = {
     require(batch.nonEmpty, "empty batch")
-    val gw = w.map(_.map(_.map(_ => 0.0)))
-    val gb = b.map(_.map(_ => 0.0))
+    val n = batch.size
+    gw.foreach(_.foreach(java.util.Arrays.fill(_, 0.0)))
+    gb.foreach(java.util.Arrays.fill(_, 0.0))
     var loss = 0.0
     for ((x, action, target) <- batch) {
-      val acts = forwardAll(x)
-      val out = acts(L)
+      val out = forwardInto(x, acts)
       val err = out(action) - target
       loss += err * err
       // Backprop: output delta is zero except at the chosen action.
-      var delta = new Array[Double](sizes(L))
-      delta(action) = 2.0 * err / batch.size
+      java.util.Arrays.fill(deltas(L), 0.0)
+      deltas(L)(action) = 2.0 * err / n
       var l = L - 1
       while (l >= 0) {
         val in = acts(l)
         val wl = w(l)
-        val next = new Array[Double](sizes(l))
+        val delta = deltas(l + 1)
+        val next = deltas(l)
+        if (l > 0) java.util.Arrays.fill(next, 0.0)
         var o = 0
         while (o < delta.length) {
           val dl = delta(o)
           if (dl != 0.0) {
             gb(l)(o) += dl
-            val grow = gw(l)(o); val wrow = wl(o)
+            val grow = gw(l)(o)
             var i = 0
-            while (i < in.length) {
-              grow(i) += dl * in(i)
-              next(i) += dl * wrow(i)
-              i += 1
+            while (i < in.length) { grow(i) += dl * in(i); i += 1 }
+            if (l > 0) {
+              val wrow = wl(o)
+              i = 0
+              while (i < next.length) { next(i) += dl * wrow(i); i += 1 }
             }
           }
           o += 1
         }
         if (l > 0) {
           // ReLU derivative of the layer-l activations.
-          val a = acts(l)
           var i = 0
-          while (i < next.length) { if (a(i) <= 0) next(i) = 0.0; i += 1 }
+          while (i < next.length) { if (in(i) <= 0) next(i) = 0.0; i += 1 }
         }
-        delta = next
         l -= 1
       }
     }
-    adamStep(gw, gb)
-    loss / batch.size
+    adamStep()
+    loss / n
   }
 
-  private def adamStep(gw: Array[Array[Array[Double]]], gb: Array[Array[Double]]): Unit = {
+  private def adamStep(): Unit = {
     adamT += 1
     val c1 = 1.0 - math.pow(beta1, adamT)
     val c2 = 1.0 - math.pow(beta2, adamT)

@@ -14,11 +14,26 @@ import repro.core.SpatialGen
   */
 object SpatialData {
 
-  /** A point dataset: raw `[0,1)` coordinates plus grid cell indices. */
+  /** A point dataset: raw `[0,1)` coordinates plus grid cell indices.
+    *
+    * The points travel as at most `defaultParallelism` contiguous slices,
+    * one partition each, every slice a pair of primitive `x`/`y` column
+    * arrays; rows come back in generation order. Every Spark job re-reads
+    * its source, and a task re-reads a chunk by unpacking two arrays (a
+    * `createDataset` local relation would serialize every row into the
+    * tasks of each job).
+    */
   def dataset(spark: SparkSession, dist: String, n: Int, seed: Long, bits: Int): DataFrame = {
     import spark.implicits._
     val pts = SpatialGen.points(dist, n, seed)
-    spark.createDataset(pts.toIndexedSeq.map(p => (p(0), p(1)))).toDF("x", "y")
+    val slices = math.max(1, math.min(n, spark.sparkContext.defaultParallelism))
+    val chunks = Seq.tabulate(slices) { s =>
+      val (lo, hi) = ((n.toLong * s / slices).toInt, (n.toLong * (s + 1) / slices).toInt)
+      (Array.tabulate(hi - lo)(i => pts(lo + i)(0)), Array.tabulate(hi - lo)(i => pts(lo + i)(1)))
+    }
+    spark.sparkContext.parallelize(chunks, slices)
+      .flatMap { case (xs, ys) => xs.indices.iterator.map(i => (xs(i), ys(i))) }
+      .toDF("x", "y")
       .select(
         $"x", $"y",
         quantizeCol($"x", bits) as "xq",
