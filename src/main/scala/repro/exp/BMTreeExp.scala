@@ -1,6 +1,7 @@
 package repro.exp
 
 import repro.core._
+import repro.exp.Defaults._
 import repro.learn.BMTree
 
 /** BMTree reward-replacement experiments (Section 6.3: Figures 11–13).
@@ -12,19 +13,10 @@ import repro.learn.BMTree
   */
 object BMTreeExp {
 
-  /** Defaults (scaled from Table 5, see DESIGN.md § 6). */
-  val DefaultBits = 16
-  val DefaultN = 100_000
   val DefaultQueries = 200
-  val DefaultH = 6
   // The original BMTree samples 10⁵ of 10⁸ points; scaled to our N this
   // keeps the SP sample in the thousands so its cost profile is realistic.
   val DefaultRho = 0.05
-  val DefaultBlock = 128
-  // Queries cover (8192/65536)² ≈ 1.6% of the space — selective enough to
-  // be index-friendly, large enough that block counts differentiate curves
-  // (the paper's PostgreSQL runs report thousands of block reads/query).
-  val DefaultEdge = 8192L
   // Learning runs per variant; reward and learn times are the best of them.
   private val LearnRuns = 3
 

@@ -2,15 +2,17 @@ package repro.exp
 
 import org.apache.spark.sql.SparkSession
 import repro.core._
-import repro.learn.{LBMC, LBMCConfig, Quilts}
+import repro.exp.Defaults._
+import repro.learn.Quilts
 import repro.spark.{BlockAccess, Layout, SpatialData}
 
 /** The cost model deployed in Spark (not a paper table): the O(1)
-  * estimator chooses the space-filling curve that clusters a table before
-  * it is written to Parquet, and the run reports the file skipping and
-  * block accesses of that layout next to the candidate the model ranks
-  * worst. Data come from seed 1; the 200 queries, each 1/8 × 1/64 of the
-  * grid, from seed 2 and serve both to choose and to measure.
+  * estimator chooses, among the QUILTS candidates, the space-filling curve
+  * that clusters a table before it is written to Parquet; no network is
+  * trained. The run reports the file skipping and block accesses of that
+  * layout next to the candidate the model ranks worst. Data come from
+  * seed 1; the 200 queries, each 1/8 × 1/64 of the grid, from seed 2 and
+  * serve both to choose and to measure.
   */
 object LayoutExp {
 
@@ -20,17 +22,14 @@ object LayoutExp {
     * choice and the table; returns the queries and the rows.
     */
   def run(spark: SparkSession, dist: String, n: Int, out: String,
-          bits: Int = 16, numFiles: Int = 32): (Array[Rect], Seq[Row]) = {
+          bits: Int = DefaultBits, numFiles: Int = 32): (Array[Rect], Seq[Row]) = {
     val df = SpatialData.dataset(spark, dist, n, seed = 1, bits)
     val k = 1L << bits
     val queries = Workloads.rectangles(dist, 200, k >> 3, k >> 6, bits, seed = 2)
 
-    // Candidates: deterministic schemes + QUILTS designs + the LBMC-learned curve.
+    // Candidates: the QUILTS designs, which include ZC and both lexicographic curves.
     val wc = WorkloadCost(queries.toSeq, 2, bits)
-    val lbmc = new LBMC(wc, LBMCConfig()).learn(BMC.zOrder(2, bits)).best
-    val candidates = (Seq(BMC.zOrder(2, bits), BMC.lexicographic(2, bits, 0),
-      BMC.lexicographic(2, bits, 1), lbmc) ++
-      Quilts.candidates(queries.toSeq, 2, bits)).distinct
+    val candidates = Quilts.candidates(queries.toSeq, 2, bits)
     val (best, bestCost) = Layout.chooseCurve(wc, candidates)
     val worst = candidates.maxBy(wc.cost)
     println(s"chosen curve: $best (cost $bestCost); adversarial: $worst")
@@ -44,7 +43,7 @@ object LayoutExp {
     val rows = Seq(("chosen", best, bestPath), ("adversarial", worst, worstPath)).map {
       case (name, curve, path) =>
         Row(name, curve, Layout.avgFilesTouched(spark, path, queries),
-          BlockAccess.average(spark, df, curve, 128, queries))
+          BlockAccess.average(spark, df, curve, DefaultBlock, queries))
     }
     println(TableFmt.render(s"Parquet layout quality ($dist, N=$n, $numFiles files)",
       Seq("layout", "avg files touched", "avg block accesses"),

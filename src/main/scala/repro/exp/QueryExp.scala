@@ -1,6 +1,7 @@
 package repro.exp
 
 import repro.core._
+import repro.exp.Defaults._
 import repro.learn.{BMTree, LBMC, Quilts}
 
 /** Query-efficiency and learning-time experiments (Section 6.4:
@@ -13,14 +14,8 @@ import repro.learn.{BMTree, LBMC, Quilts}
   */
 object QueryExp {
 
-  val DefaultBits = 16
-  val DefaultN = 100_000
   val LearnQueries = 200
   val TestQueries = 400
-  val DefaultBlock = 128
-  // ≈1.6% of the space per query; see BMTreeExp.DefaultEdge.
-  val DefaultEdge = 8192L
-  val DefaultH = 6
   val DefaultRho = 0.02
 
   final case class CurveRow(name: String, curve: SpaceFillingCurve)

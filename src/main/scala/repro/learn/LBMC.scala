@@ -63,8 +63,8 @@ final class LBMC(cost: WorkloadCost, cfg: LBMCConfig = LBMCConfig()) {
     }
 
     val rng = new Random(cfg.seed)
-    val qNet = new MLP(Array(stateSize, Hidden, nActions), cfg.seed + 1, LearningRate)
-    val target = new MLP(Array(stateSize, Hidden, nActions), cfg.seed + 1, LearningRate)
+    val qNet = new MLP(stateSize, Hidden, nActions, cfg.seed + 1, LearningRate)
+    val target = new MLP(stateSize, Hidden, nActions, cfg.seed + 1, LearningRate)
     target.copyWeightsFrom(qNet)
 
     // Replay memory MQ: (state, action, reward, nextState, nextValidActions).

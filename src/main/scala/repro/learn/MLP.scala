@@ -2,78 +2,80 @@ package repro.learn
 
 import java.util.Random
 
-/** A small fully-connected network with ReLU hidden layers, a linear
-  * output layer, and the Adam optimizer — the function approximator for
-  * the deep-Q-network of Section 5 (substituting for TensorFlow, see
+/** A fully-connected network with one ReLU hidden layer, a linear output
+  * layer, and the Adam optimizer — the function approximator for the
+  * deep-Q-network of Section 5 (substituting for TensorFlow, see
   * DESIGN.md § 4). Deterministic in its seed.
   *
   * Training targets a single output unit per sample (the Q-value of the
   * chosen action), which is the DQN loss
   * `(y − Q(φ(σ), a; θ))²` of the paper, with the other outputs untouched.
   */
-final class MLP(val sizes: Array[Int], seed: Long, val lr: Double = 1e-3) extends Serializable {
-  require(sizes.length >= 2, "need at least input and output layers")
+final class MLP(val inputs: Int, val hidden: Int, val outputs: Int, seed: Long, val lr: Double = 1e-3) {
+  require(inputs > 0 && hidden > 0 && outputs > 0, s"layer widths must be positive: $inputs, $hidden, $outputs")
 
-  private val L = sizes.length - 1 // number of weight layers
   private val rng = new Random(seed)
 
-  // w(l)(out)(in), b(l)(out); He initialization for the ReLU layers.
-  private[learn] val w: Array[Array[Array[Double]]] = Array.tabulate(L) { l =>
-    val scale = math.sqrt(2.0 / sizes(l))
-    Array.fill(sizes(l + 1), sizes(l))(rng.nextGaussian() * scale)
+  /** He initialization for a ReLU layer: one row of `cols` weights per unit. */
+  private def he(rows: Int, cols: Int): Array[Array[Double]] = {
+    val scale = math.sqrt(2.0 / cols)
+    Array.fill(rows, cols)(rng.nextGaussian() * scale)
   }
-  private[learn] val b: Array[Array[Double]] = Array.tabulate(L)(l => new Array[Double](sizes(l + 1)))
+
+  // w1(hidden)(input), w2(output)(hidden), drawn in this order; zero biases.
+  private[learn] val w1 = he(hidden, inputs)
+  private[learn] val w2 = he(outputs, hidden)
+  private val b1 = new Array[Double](hidden)
+  private val b2 = new Array[Double](outputs)
 
   // Adam state.
-  private val mw = w.map(_.map(_.map(_ => 0.0)))
-  private val vw = w.map(_.map(_.map(_ => 0.0)))
-  private val mb = b.map(_.map(_ => 0.0))
-  private val vb = b.map(_.map(_ => 0.0))
+  private val mw1, vw1 = Array.ofDim[Double](hidden, inputs)
+  private val mw2, vw2 = Array.ofDim[Double](outputs, hidden)
+  private val mb1, vb1 = new Array[Double](hidden)
+  private val mb2, vb2 = new Array[Double](outputs)
   private var adamT = 0
   private val beta1 = 0.9
   private val beta2 = 0.999
   private val eps = 1e-8
 
-  // Training buffers, allocated once: gradients, and per layer the
-  // activations and the deltas of one sample.
-  private val gw = w.map(_.map(row => new Array[Double](row.length)))
-  private val gb = b.map(row => new Array[Double](row.length))
-  private val acts = layerBuffers()
-  private val deltas = layerBuffers()
+  // Training buffers, allocated once: the gradients, and the hidden
+  // activations, hidden deltas and outputs of one sample.
+  private val gw1 = Array.ofDim[Double](hidden, inputs)
+  private val gw2 = Array.ofDim[Double](outputs, hidden)
+  private val gb1, h, dh = new Array[Double](hidden)
+  private val gb2, out = new Array[Double](outputs)
 
-  /** One array per layer 1..L. Index 0 stays empty: the input activations
-    * are the caller's array, and the input layer needs no delta.
-    */
-  private def layerBuffers(): Array[Array[Double]] =
-    Array.tabulate(L + 1)(l => if (l == 0) null else new Array[Double](sizes(l)))
-
-  /** Forward pass writing every layer's activations into `acts` (index 0
-    * becomes the input itself); returns the output layer.
-    */
-  private def forwardInto(x: Array[Double], acts: Array[Array[Double]]): Array[Double] = {
-    require(x.length == sizes(0), s"input size ${x.length} != ${sizes(0)}")
-    acts(0) = x
-    var l = 0
-    while (l < L) {
-      val in = acts(l)
-      val out = acts(l + 1)
-      val wl = w(l); val bl = b(l)
-      var o = 0
-      while (o < out.length) {
-        var s = bl(o)
-        val row = wl(o)
-        var i = 0
-        while (i < in.length) { s += row(i) * in(i); i += 1 }
-        out(o) = if (l < L - 1 && s < 0) 0.0 else s // ReLU on hidden layers
-        o += 1
-      }
-      l += 1
+  /** `out = w·in + b`, clamped at zero when `relu`. */
+  private def layer(w: Array[Array[Double]], b: Array[Double], in: Array[Double],
+                    out: Array[Double], relu: Boolean): Unit = {
+    var o = 0
+    while (o < out.length) {
+      var s = b(o)
+      val row = w(o)
+      var i = 0
+      while (i < in.length) { s += row(i) * in(i); i += 1 }
+      out(o) = if (relu && s < 0) 0.0 else s
+      o += 1
     }
-    acts(L)
+  }
+
+  /** Forward pass writing the hidden activations into `hid`; returns `res`. */
+  private def forwardInto(x: Array[Double], hid: Array[Double], res: Array[Double]): Array[Double] = {
+    require(x.length == inputs, s"input size ${x.length} != $inputs")
+    layer(w1, b1, x, hid, relu = true)
+    layer(w2, b2, hid, res, relu = false)
+    res
   }
 
   /** Network output for input `x`. */
-  def forward(x: Array[Double]): Array[Double] = forwardInto(x, layerBuffers())
+  def forward(x: Array[Double]): Array[Double] =
+    forwardInto(x, new Array[Double](hidden), new Array[Double](outputs))
+
+  /** `row += scale · v`, element by element. */
+  private def addScaled(row: Array[Double], scale: Double, v: Array[Double]): Unit = {
+    var i = 0
+    while (i < row.length) { row(i) += scale * v(i); i += 1 }
+  }
 
   /** One Adam step on a minibatch. Each sample supplies the target value
     * for exactly one output unit (`action`); returns the mean squared
@@ -82,45 +84,29 @@ final class MLP(val sizes: Array[Int], seed: Long, val lr: Double = 1e-3) extend
   def trainBatch(batch: Seq[(Array[Double], Int, Double)]): Double = {
     require(batch.nonEmpty, "empty batch")
     val n = batch.size
-    gw.foreach(_.foreach(java.util.Arrays.fill(_, 0.0)))
-    gb.foreach(java.util.Arrays.fill(_, 0.0))
+    gw1.foreach(java.util.Arrays.fill(_, 0.0))
+    gw2.foreach(java.util.Arrays.fill(_, 0.0))
+    java.util.Arrays.fill(gb1, 0.0)
+    java.util.Arrays.fill(gb2, 0.0)
     var loss = 0.0
     for ((x, action, target) <- batch) {
-      val out = forwardInto(x, acts)
+      forwardInto(x, h, out)
       val err = out(action) - target
       loss += err * err
-      // Backprop: output delta is zero except at the chosen action.
-      java.util.Arrays.fill(deltas(L), 0.0)
-      deltas(L)(action) = 2.0 * err / n
-      var l = L - 1
-      while (l >= 0) {
-        val in = acts(l)
-        val wl = w(l)
-        val delta = deltas(l + 1)
-        val next = deltas(l)
-        if (l > 0) java.util.Arrays.fill(next, 0.0)
+      // Backprop: the output delta is zero except at the chosen action.
+      val dOut = 2.0 * err / n
+      if (dOut != 0.0) {
+        gb2(action) += dOut
+        addScaled(gw2(action), dOut, h)
+        val w2row = w2(action)
+        var i = 0
+        while (i < hidden) { dh(i) = if (h(i) <= 0) 0.0 else dOut * w2row(i); i += 1 } // ReLU derivative
         var o = 0
-        while (o < delta.length) {
-          val dl = delta(o)
-          if (dl != 0.0) {
-            gb(l)(o) += dl
-            val grow = gw(l)(o)
-            var i = 0
-            while (i < in.length) { grow(i) += dl * in(i); i += 1 }
-            if (l > 0) {
-              val wrow = wl(o)
-              i = 0
-              while (i < next.length) { next(i) += dl * wrow(i); i += 1 }
-            }
-          }
+        while (o < hidden) {
+          val dl = dh(o)
+          if (dl != 0.0) { gb1(o) += dl; addScaled(gw1(o), dl, x) }
           o += 1
         }
-        if (l > 0) {
-          // ReLU derivative of the layer-l activations.
-          var i = 0
-          while (i < next.length) { if (in(i) <= 0) next(i) = 0.0; i += 1 }
-        }
-        l -= 1
       }
     }
     adamStep()
@@ -131,42 +117,28 @@ final class MLP(val sizes: Array[Int], seed: Long, val lr: Double = 1e-3) extend
     adamT += 1
     val c1 = 1.0 - math.pow(beta1, adamT)
     val c2 = 1.0 - math.pow(beta2, adamT)
-    var l = 0
-    while (l < L) {
-      var o = 0
-      while (o < w(l).length) {
-        val wrow = w(l)(o); val grow = gw(l)(o)
-        val mrow = mw(l)(o); val vrow = vw(l)(o)
-        var i = 0
-        while (i < wrow.length) {
-          val g = grow(i)
-          mrow(i) = beta1 * mrow(i) + (1 - beta1) * g
-          vrow(i) = beta2 * vrow(i) + (1 - beta2) * g * g
-          wrow(i) -= lr * (mrow(i) / c1) / (math.sqrt(vrow(i) / c2) + eps)
-          i += 1
-        }
-        val g = gb(l)(o)
-        mb(l)(o) = beta1 * mb(l)(o) + (1 - beta1) * g
-        vb(l)(o) = beta2 * vb(l)(o) + (1 - beta2) * g * g
-        b(l)(o) -= lr * (mb(l)(o) / c1) / (math.sqrt(vb(l)(o) / c2) + eps)
-        o += 1
+    def update(p: Array[Double], g: Array[Double], m: Array[Double], v: Array[Double]): Unit = {
+      var i = 0
+      while (i < p.length) {
+        val gi = g(i)
+        m(i) = beta1 * m(i) + (1 - beta1) * gi
+        v(i) = beta2 * v(i) + (1 - beta2) * gi * gi
+        p(i) -= lr * (m(i) / c1) / (math.sqrt(v(i) / c2) + eps)
+        i += 1
       }
-      l += 1
     }
+    var o = 0
+    while (o < hidden) { update(w1(o), gw1(o), mw1(o), vw1(o)); o += 1 }
+    update(b1, gb1, mb1, vb1)
+    o = 0
+    while (o < outputs) { update(w2(o), gw2(o), mw2(o), vw2(o)); o += 1 }
+    update(b2, gb2, mb2, vb2)
   }
 
   /** Copy another network's weights into this one (target-network sync). */
   def copyWeightsFrom(other: MLP): Unit = {
-    require(java.util.Arrays.equals(other.sizes, sizes), "shape mismatch")
-    var l = 0
-    while (l < L) {
-      var o = 0
-      while (o < w(l).length) {
-        System.arraycopy(other.w(l)(o), 0, w(l)(o), 0, w(l)(o).length)
-        o += 1
-      }
-      System.arraycopy(other.b(l), 0, b(l), 0, b(l).length)
-      l += 1
-    }
+    require(other.inputs == inputs && other.hidden == hidden && other.outputs == outputs, "shape mismatch")
+    for ((from, to) <- other.w1.zip(w1) ++ other.w2.zip(w2) ++ Seq((other.b1, b1), (other.b2, b2)))
+      System.arraycopy(from, 0, to, 0, to.length)
   }
 }

@@ -4,7 +4,7 @@ import java.nio.file.Files
 import repro.SparkSpec
 import repro.core._
 import repro.jobs.Main
-import repro.learn.BMTree
+import repro.learn.{BMTree, Quilts}
 
 /** Smoke + invariant tests for the experiment runners the benches use. */
 class ExpRunnersSpec extends SparkSpec {
@@ -97,10 +97,16 @@ class ExpRunnersSpec extends SparkSpec {
     assert(rows.map(_.layout) == Seq("chosen", "adversarial"))
     val wc = WorkloadCost(queries.toSeq, 2, bits)
     assert(wc.cost(rows.head.curve) <= wc.cost(rows(1).curve))
+    // The runner chooses among the QUILTS candidates alone: chosen is their
+    // argmin and adversarial their argmax under the cost model.
+    val cands = Quilts.candidates(queries.toSeq, 2, bits)
+    val costs = cands.map(wc.cost)
+    assert(cands.contains(rows.head.curve) && wc.cost(rows.head.curve) == costs.min, rows.head.curve)
+    assert(cands.contains(rows(1).curve) && wc.cost(rows(1).curve) == costs.max, rows(1).curve)
     // The runner's data: seed 1, quantized as SpatialData does.
     val cells = SpatialGen.quantizeAll(SpatialGen.points(dist, n, 1), bits)
     for (r <- rows)
-      assert(r.blockAccesses == ClusteredIndex.build(cells, r.curve, 128).avgBlockAccesses(queries.toSeq),
+      assert(r.blockAccesses == ClusteredIndex.build(cells, r.curve, Defaults.DefaultBlock).avgBlockAccesses(queries.toSeq),
         r.layout)
   }
 

@@ -6,31 +6,31 @@ import repro.SparkSpec
 class MLPSpec extends SparkSpec {
 
   test("forward pass has the right output arity") {
-    val net = new MLP(Array(4, 8, 3), seed = 1)
+    val net = new MLP(4, 8, 3, seed = 1)
     assert(net.forward(Array(0.1, 0.2, 0.3, 0.4)).length == 3)
   }
 
   test("forward pass is deterministic in the seed") {
-    val a = new MLP(Array(3, 5, 2), seed = 7)
-    val b = new MLP(Array(3, 5, 2), seed = 7)
+    val a = new MLP(3, 5, 2, seed = 7)
+    val b = new MLP(3, 5, 2, seed = 7)
     val x = Array(0.5, -0.2, 0.9)
     assert(a.forward(x).toSeq == b.forward(x).toSeq)
   }
 
   test("different seeds give different networks") {
-    val a = new MLP(Array(3, 5, 2), seed = 7)
-    val b = new MLP(Array(3, 5, 2), seed = 8)
+    val a = new MLP(3, 5, 2, seed = 7)
+    val b = new MLP(3, 5, 2, seed = 8)
     val x = Array(0.5, -0.2, 0.9)
     assert(a.forward(x).toSeq != b.forward(x).toSeq)
   }
 
   test("input arity is validated") {
-    val net = new MLP(Array(4, 8, 3), seed = 1)
+    val net = new MLP(4, 8, 3, seed = 1)
     intercept[IllegalArgumentException](net.forward(Array(1.0)))
   }
 
   test("training reduces the loss on a fixed regression target") {
-    val net = new MLP(Array(2, 16, 1), seed = 3, lr = 1e-2)
+    val net = new MLP(2, 16, 1, seed = 3, lr = 1e-2)
     val samples = Seq(
       (Array(0.0, 0.0), 0, 0.1), (Array(0.0, 1.0), 0, 0.9),
       (Array(1.0, 0.0), 0, 0.9), (Array(1.0, 1.0), 0, 0.1))
@@ -41,7 +41,7 @@ class MLPSpec extends SparkSpec {
   }
 
   test("MLP learns XOR (nonlinear separability)") {
-    val net = new MLP(Array(2, 16, 1), seed = 5, lr = 1e-2)
+    val net = new MLP(2, 16, 1, seed = 5, lr = 1e-2)
     val samples = Seq(
       (Array(0.0, 0.0), 0, 0.0), (Array(0.0, 1.0), 0, 1.0),
       (Array(1.0, 0.0), 0, 1.0), (Array(1.0, 1.0), 0, 0.0))
@@ -51,7 +51,7 @@ class MLPSpec extends SparkSpec {
   }
 
   test("training only the chosen output leaves other outputs nearly intact") {
-    val net = new MLP(Array(2, 8, 3), seed = 9, lr = 1e-3)
+    val net = new MLP(2, 8, 3, seed = 9, lr = 1e-3)
     val x = Array(0.3, 0.7)
     val before = net.forward(x).clone()
     // Single gradient step on output 1 only.
@@ -75,36 +75,40 @@ class MLPSpec extends SparkSpec {
     }
     val eps = 1e-6
     // Clone two identical nets; perturb one weight in the second.
-    val net = new MLP(Array(2, 4, 1), seed = 11)
-    val pert = new MLP(Array(2, 4, 1), seed = 11)
+    val net = new MLP(2, 4, 1, seed = 11)
+    val pert = new MLP(2, 4, 1, seed = 11)
     pert.copyWeightsFrom(net)
-    pert.w(0)(0)(0) += eps
+    pert.w1(0)(0) += eps
     val numGrad = (loss(pert) - loss(net)) / eps
     // One training step with a large-lr fresh Adam: weight must move
     // opposite to the numeric gradient's sign (Adam normalizes magnitude).
-    val w0 = net.w(0)(0)(0)
+    val w0 = net.w1(0)(0)
     net.trainBatch(Seq((x, 0, target)))
-    val moved = net.w(0)(0)(0) - w0
+    val moved = net.w1(0)(0) - w0
     if (math.abs(numGrad) > 1e-9)
       assert(math.signum(moved) == -math.signum(numGrad),
         s"numeric grad $numGrad but weight moved $moved")
   }
 
   test("copyWeightsFrom makes networks identical") {
-    val a = new MLP(Array(3, 6, 2), seed = 1)
-    val b = new MLP(Array(3, 6, 2), seed = 2)
+    val a = new MLP(3, 6, 2, seed = 1)
+    val b = new MLP(3, 6, 2, seed = 2)
     b.copyWeightsFrom(a)
     val x = Array(0.1, 0.5, -0.4)
     assert(a.forward(x).toSeq == b.forward(x).toSeq)
   }
 
   test("copyWeightsFrom rejects shape mismatches") {
-    val a = new MLP(Array(3, 6, 2), seed = 1)
-    val b = new MLP(Array(3, 7, 2), seed = 2)
+    val a = new MLP(3, 6, 2, seed = 1)
+    val b = new MLP(3, 7, 2, seed = 2)
     intercept[IllegalArgumentException](b.copyWeightsFrom(a))
   }
 
   test("empty batches are rejected") {
-    intercept[IllegalArgumentException](new MLP(Array(2, 2), seed = 1).trainBatch(Seq.empty))
+    intercept[IllegalArgumentException](new MLP(2, 4, 2, seed = 1).trainBatch(Seq.empty))
+  }
+
+  test("layer widths must be positive") {
+    intercept[IllegalArgumentException](new MLP(2, 0, 2, seed = 1))
   }
 }

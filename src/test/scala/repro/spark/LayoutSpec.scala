@@ -1,8 +1,12 @@
 package repro.spark
 
 import java.nio.file.Files
+import org.apache.hadoop.fs.Path
+import org.apache.parquet.hadoop.ParquetFileReader
+import org.apache.parquet.hadoop.util.HadoopInputFile
 import repro.SparkSpec
 import repro.core._
+import scala.jdk.CollectionConverters._
 
 /** Cost-model-chosen Parquet layout and min/max file skipping — the
   * repro-hint scenario: the O(1) estimator picks the SFC used to cluster
@@ -82,5 +86,34 @@ class LayoutSpec extends SparkSpec {
     val touched = Layout.avgFilesTouched(spark, path, qs)
     val files = Layout.fileStats(spark, path).count()
     assert(touched >= 0.0 && touched <= files.toDouble)
+  }
+
+  test("avgFilesTouched agrees with the file boxes read from the Parquet footers") {
+    val df = SpatialData.dataset(spark, "OSM", 3000, 8, bits)
+    val path = tmpDir("layout-footers")
+    Layout.write(df, BMC.zOrder(2, bits), path, numFiles = 12)
+    // Queries of 96² cells: some files overlap a query, some lie inside one.
+    val qs = Workloads.squares("OSM", 40, 96, bits, 9)
+    val conf = spark.sparkContext.hadoopConfiguration
+    val files = new java.io.File(path).listFiles().filter(_.getName.endsWith(".parquet"))
+    // A file's box is the union of its row groups' xq/yq min/max statistics.
+    val boxes = files.map { f =>
+      val reader = ParquetFileReader.open(HadoopInputFile.fromPath(new Path(f.toURI), conf))
+      try {
+        val chunks = reader.getFooter.getBlocks.asScala.toSeq.flatMap(_.getColumns.asScala)
+        def range(col: String): (Long, Long) = {
+          val stats = chunks.filter(_.getPath.toDotString == col).map(_.getStatistics)
+          (stats.map(_.genericGetMin.asInstanceOf[java.lang.Long].longValue).min,
+           stats.map(_.genericGetMax.asInstanceOf[java.lang.Long].longValue).max)
+        }
+        val ((x0, x1), (y0, y1)) = (range("xq"), range("yq"))
+        (Array(x0, y0), Array(x1, y1))
+      } finally reader.close()
+    }
+    val pairs = qs.map(q => boxes.count { case (lo, hi) => q.relate(lo, hi, 0) != Rect.Disjoint }).sum
+    assert(files.length >= 2 && pairs > 0 && pairs < qs.length * files.length,
+      s"$pairs of ${qs.length * files.length} (query, file) pairs")
+    // avgFilesTouched · n equals the pair count; compared as the same quotient.
+    assert(Layout.avgFilesTouched(spark, path, qs) == pairs.toDouble / qs.length)
   }
 }
