@@ -64,22 +64,6 @@ final class BMC private (val dims: Array[Int], val d: Int) extends SpaceFillingC
     out
   }
 
-  /** `countBelow(r)(m)`: number of dimension-m bits at ranks strictly
-    * below `r`. Used to find, for a rise bit, how many bits each other
-    * dimension must drop (Section 4.2.1).
-    */
-  val countBelow: Array[Array[Int]] = {
-    val out = Array.ofDim[Int](length + 1, d)
-    var r = 0
-    while (r < length) {
-      var m = 0
-      while (m < d) { out(r + 1)(m) = out(r)(m); m += 1 }
-      out(r + 1)(dims(r)) += 1
-      r += 1
-    }
-    out
-  }
-
   override def value(p: Array[Long]): Long = {
     require(p.length == d, s"point has ${p.length} dims, curve has $d")
     var v = 0L

@@ -71,15 +71,11 @@ object GlobalCost {
       require(bmc.d == d && java.util.Arrays.equals(bmc.bitsPerDim, bitsPerDim),
         "BMC shape does not match the estimator's (d, ℓ)")
       var total = BigInt(n)
-      var j = 0
-      while (j < d) {
-        var k = 0
-        while (k < bitsPerDim(j)) {
-          val a = A(j)(k)
-          if (a != 0) total += BigInt(a) << bmc.ranks(j)(k)
-          k += 1
-        }
-        j += 1
+      var r = 0
+      while (r < bmc.length) {
+        val a = A(bmc.dims(r))(bmc.bitOfDim(r))
+        if (a != 0) total += BigInt(a) << r
+        r += 1
       }
       total
     }

@@ -48,25 +48,24 @@ object LocalCost {
     */
   def edgesViaPatterns(q: Rect, bmc: BMC): Long = {
     require(q.d == bmc.d, "query/BMC dimensionality mismatch")
+    // c(m): bits of dimension m below the current rank.
+    val c = new Array[Int](bmc.d)
     var e = 0L
-    var b = 0
-    while (b < bmc.d) {
-      var i = 1
-      while (i <= bmc.bitsPerDim(b)) {
-        val rises = riseCount(q.lo(b), q.hi(b), i)
-        if (rises != 0) {
-          val gamma = bmc.ranks(b)(i - 1)
-          var prod = 1L
-          var m = 0
-          while (m < bmc.d && prod != 0) {
-            if (m != b) prod *= dropCount(q.lo(m), q.hi(m), bmc.countBelow(gamma)(m))
-            m += 1
-          }
-          e += rises * prod
+    var r = 0
+    while (r < bmc.length) {
+      val b = bmc.dims(r)
+      val rises = riseCount(q.lo(b), q.hi(b), c(b) + 1)
+      if (rises != 0) {
+        var prod = 1L
+        var m = 0
+        while (m < bmc.d && prod != 0) {
+          if (m != b) prod *= dropCount(q.lo(m), q.hi(m), c(m))
+          m += 1
         }
-        i += 1
+        e += rises * prod
       }
-      b += 1
+      c(b) += 1
+      r += 1
     }
     e
   }
@@ -103,12 +102,15 @@ object LocalCost {
   /** LC: pattern tables (Algorithm 1) + O(1) per-BMC evaluation
     * (Algorithm 2).
     *
-    * Table^b has ℓ_b rows (rise patterns of dimension b) and
-    * `Π_{m≠b}(ℓ_m+1)` columns — one per *drop pattern collection*
-    * (Definition 6), i.e. per assignment of a drop order `k_m ∈ [0, ℓ_m]`
-    * to every other dimension, encoded in mixed radix. Construction is the
-    * O(n)-scan initialization (ILC); [[edges]]/[[cost]] evaluate any BMC
-    * with `d·ℓ` lookups.
+    * A BMC with ℓ_m bits per dimension is a monotone lattice path from 0
+    * to (ℓ_0…ℓ_{d−1}): the vertex at rank r is c, the number of bits of
+    * each dimension below r, and the rank-r bit of dimension b steps to
+    * c + e_b. That step rises order c_b+1 in b while every other dimension
+    * m drops order c_m (Definitions 4–6), so Table^b holds one entry per
+    * lattice vertex c, in mixed radix with dimension 0 fastest:
+    * `T_b[c] = Σ_q N_q(R_b^{c_b+1}) · Π_{m≠b} N_q(D_m^{c_m})`, zero where
+    * c_b = ℓ_b. Construction is the O(n)-scan initialization (ILC);
+    * [[edges]]/[[cost]] evaluate any BMC with one lookup per rank.
     *
     * All counts are exact `Long`s: every table entry, drop product and edge
     * count is a sum of per-query terms each at most V(q), so the workload
@@ -121,44 +123,20 @@ object LocalCost {
 
     private def shape: String = s"d=$d, ℓ=${bitsPerDim.mkString("(", ",", ")")}"
 
-    /** Dimensions other than b, in ascending order (column radix order). */
-    private val others: Array[Array[Int]] =
-      Array.tabulate(d)(b => (0 until d).filter(_ != b).toArray)
-
-    /** Columns of Table^b, `Π_{m≠b}(ℓ_m+1)`. */
-    private val numCols: Array[Int] = Array.tabulate(d) { b =>
-      val cols = others(b).foldLeft(BigInt(1))((acc, m) => acc * (bitsPerDim(m) + 1))
-      require(cols.isValidInt, s"pattern table $b for $shape needs $cols columns, over Int.MaxValue")
-      cols.toInt
-    }
-
-    private val cells = (0 until d).map(b => bitsPerDim(b).toLong * numCols(b)).sum
+    private val cells = bitsPerDim.foldLeft(BigInt(d))((acc, l) => acc * (l + 1))
     require(cells <= PatternTables.MaxCells,
       s"pattern tables for $shape need $cells cells, over the limit of ${PatternTables.MaxCells}")
 
-    /** Mixed-radix stride of each other-dimension in Table^b's columns. */
-    private val strides: Array[Array[Long]] = Array.tabulate(d) { b =>
-      val o = others(b)
-      val s = new Array[Long](o.length)
-      var acc = 1L
-      var i = 0
-      while (i < o.length) {
-        s(i) = acc
-        acc *= bitsPerDim(o(i)) + 1
-        i += 1
-      }
-      s
-    }
+    /** Mixed-radix stride of each dimension over the lattice vertices;
+      * `stride(d)` is the vertex count Π(ℓ_m+1).
+      */
+    private val stride: Array[Int] = bitsPerDim.scanLeft(1)((acc, l) => acc * (l + 1))
 
     /** Σ_q V(q), BMC-independent (computed in the same O(n) scan). */
     val totalVolume: BigInt = {
       var sum = 0L
-      try for (q <- queries) {
-        var v = 1L
-        var i = 0
-        while (i < q.d) { v = Math.multiplyExact(v, q.extent(i)); i += 1 }
-        sum = Math.addExact(sum, v)
-      } catch {
+      try for (q <- queries) sum = Math.addExact(sum, q.volume)
+      catch {
         case _: ArithmeticException => throw new IllegalArgumentException(
           s"workload volume ΣV(q) exceeds Long.MaxValue; its pattern tables ($shape) would overflow")
       }
@@ -168,16 +146,21 @@ object LocalCost {
     /** Number of queries in the workload. */
     val n: Int = queries.size
 
-    /** tables(b)(i−1)(col) = Σ_q N_q(R_b^i) · Π_{m≠b} N_q(D_m^{k_m}).
+    /** tables(b)(c): `T_b[c]` at the vertex index `c = Σ_m c_m·stride(m)`.
       *
-      * Buffers are hoisted out of the per-query loop: this constructor is
-      * the ILC initialization the benches time, and per-query allocations
-      * would dominate it.
+      * Per query and dimension b, the product over dimensions 0…d−2 is
+      * expanded in place (b's factor is its rise vector shifted by one,
+      * the others' their drop vectors); the last dimension's factor then
+      * scales it straight into Table^b, skipping zero factors. Buffers are
+      * hoisted out of the per-query loop: this constructor is the ILC
+      * initialization the benches time, and per-query allocations would
+      * dominate it.
       */
-    val tables: Array[Array[Array[Long]]] = {
-      val t = Array.tabulate(d)(b => Array.ofDim[Long](bitsPerDim(b), numCols(b)))
+    val tables: Array[Array[Long]] = {
+      val t = Array.fill(d)(new Array[Long](stride(d)))
       val drops = Array.tabulate(d)(m => new Array[Long](bitsPerDim(m) + 1))
-      val prods = Array.tabulate(d)(b => new Array[Long](numCols(b)))
+      val rises = Array.tabulate(d)(m => new Array[Long](bitsPerDim(m) + 1))
+      val prod = new Array[Long](stride(d - 1))
       for (q <- queries) {
         require(q.d == d, s"query dim ${q.d} != $d")
         var m = 0
@@ -185,26 +168,45 @@ object LocalCost {
           var k = 0
           while (k <= bitsPerDim(m)) {
             drops(m)(k) = dropCount(q.lo(m), q.hi(m), k)
+            if (k < bitsPerDim(m)) rises(m)(k) = riseCount(q.lo(m), q.hi(m), k + 1)
             k += 1
           }
           m += 1
         }
         var b = 0
         while (b < d) {
-          val prod = prods(b)
-          fillDropProducts(b, drops, prod)
-          var i = 1
-          while (i <= bitsPerDim(b)) {
-            val rises = riseCount(q.lo(b), q.hi(b), i)
-            if (rises != 0) {
-              val row = t(b)(i - 1)
-              var c = 0
-              while (c < row.length) {
-                row(c) += rises * prod(c)
-                c += 1
+          if (rises(b).exists(_ != 0)) {
+            prod(0) = 1L
+            m = 0
+            while (m < d - 1) {
+              val f = if (m == b) rises(m) else drops(m)
+              // Expand from high k down so lower segments are still intact.
+              val size = stride(m)
+              var k = f.length - 1
+              while (k >= 0) {
+                var j = size - 1
+                while (j >= 0) {
+                  prod(k * size + j) = prod(j) * f(k)
+                  j -= 1
+                }
+                k -= 1
               }
+              m += 1
             }
-            i += 1
+            val f = if (b == d - 1) rises(b) else drops(d - 1)
+            val row = t(b)
+            var k = 0
+            while (k < f.length) {
+              if (f(k) != 0) {
+                val base = k * prod.length
+                var j = 0
+                while (j < prod.length) {
+                  row(base + j) += f(k) * prod(j)
+                  j += 1
+                }
+              }
+              k += 1
+            }
           }
           b += 1
         }
@@ -212,54 +214,20 @@ object LocalCost {
       t
     }
 
-    /** Fill `out(col) = Π_{m≠b} N(D_m^{k_m})` for every column of Table^b,
-      * expanding one other-dimension at a time in place (no allocation).
+    /** Σ_q E_σ(q): one lookup per rank along σ's lattice path
+      * (Algorithm 2).
       */
-    private def fillDropProducts(b: Int, drops: Array[Array[Long]], out: Array[Long]): Unit = {
-      val o = others(b)
-      out(0) = 1L
-      var size = 1
-      var i = 0
-      while (i < o.length) {
-        val dm = drops(o(i))
-        // Expand from high k down so lower segments are still intact.
-        var k = dm.length - 1
-        while (k >= 0) {
-          val base = k * size
-          var j = size - 1
-          while (j >= 0) {
-            out(base + j) = out(j) * dm(k)
-            j -= 1
-          }
-          k -= 1
-        }
-        size *= dm.length
-        i += 1
-      }
-    }
-
-    /** Σ_q E_σ(q) in `O(d·ℓ)` lookups (Algorithm 2's loop + get_col). */
     def edges(bmc: BMC): Long = {
       require(bmc.d == d && java.util.Arrays.equals(bmc.bitsPerDim, bitsPerDim),
         "BMC shape does not match the tables' (d, ℓ)")
       var e = 0L
-      var b = 0
-      while (b < d) {
-        val o = others(b)
-        val st = strides(b)
-        var i = 1
-        while (i <= bitsPerDim(b)) {
-          val gamma = bmc.ranks(b)(i - 1)
-          var col = 0L
-          var m = 0
-          while (m < o.length) {
-            col += bmc.countBelow(gamma)(o(m)) * st(m)
-            m += 1
-          }
-          e += tables(b)(i - 1)(col.toInt)
-          i += 1
-        }
-        b += 1
+      var v = 0
+      var r = 0
+      while (r < bmc.length) {
+        val b = bmc.dims(r)
+        e += tables(b)(v)
+        v += stride(b)
+        r += 1
       }
       e
     }

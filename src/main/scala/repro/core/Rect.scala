@@ -12,14 +12,18 @@ final case class Rect(lo: Array[Long], hi: Array[Long]) {
   /** Grid dimensionality. */
   def d: Int = lo.length
 
-  /** Query extent (number of cells) in dimension `i`. */
-  def extent(i: Int): Long = hi(i) - lo(i) + 1
+  /** Query extent (number of cells) in dimension `i`; throws
+    * `ArithmeticException` past `Long.MaxValue`.
+    */
+  def extent(i: Int): Long = Math.addExact(Math.subtractExact(hi(i), lo(i)), 1L)
 
-  /** V(q): the number of grid cells covered by the query. */
+  /** V(q): the number of grid cells covered by the query; throws
+    * `ArithmeticException` past `Long.MaxValue`.
+    */
   def volume: Long = {
     var v = 1L
     var i = 0
-    while (i < d) { v *= extent(i); i += 1 }
+    while (i < d) { v = Math.multiplyExact(v, extent(i)); i += 1 }
     v
   }
 

@@ -47,12 +47,15 @@ object BlockAccess {
   }
 
   /** Mean block accesses over the workload (queries matching no point
-    * count zero accesses, as in the driver-side simulator).
+    * count zero accesses, and an empty workload averages 0, as in the
+    * driver-side simulator).
     */
   def average(spark: SparkSession, points: DataFrame, curve: SpaceFillingCurve,
-              blockSize: Int, queries: Array[Rect]): Double = {
-    val total = perQuery(spark, points, curve, blockSize, queries)
-      .agg(coalesce(sum("blocks"), lit(0L))).collect()(0).getLong(0)
-    total.toDouble / queries.length
-  }
+              blockSize: Int, queries: Array[Rect]): Double =
+    if (queries.isEmpty) 0.0
+    else {
+      val total = perQuery(spark, points, curve, blockSize, queries)
+        .agg(coalesce(sum("blocks"), lit(0L))).collect()(0).getLong(0)
+      total.toDouble / queries.length
+    }
 }

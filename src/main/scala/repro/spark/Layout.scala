@@ -48,15 +48,19 @@ object Layout {
            min("yq") as "miny", max("yq") as "maxy")
   }
 
-  /** Mean number of files a min/max pruner must read per query. */
-  def avgFilesTouched(spark: SparkSession, path: String, queries: Array[Rect]): Double = {
-    val stats = fileStats(spark, path)
-      .select("minx", "maxx", "miny", "maxy")
-      .collect()
-      .map(r => (Array(r.getLong(0), r.getLong(2)), Array(r.getLong(1), r.getLong(3))))
-    val touched = queries.map { q =>
-      stats.count { case (min, max) => q.relate(min, max, 0) != Rect.Disjoint }
+  /** Mean number of files a min/max pruner must read per query (0 for an
+    * empty workload).
+    */
+  def avgFilesTouched(spark: SparkSession, path: String, queries: Array[Rect]): Double =
+    if (queries.isEmpty) 0.0
+    else {
+      val stats = fileStats(spark, path)
+        .select("minx", "maxx", "miny", "maxy")
+        .collect()
+        .map(r => (Array(r.getLong(0), r.getLong(2)), Array(r.getLong(1), r.getLong(3))))
+      val touched = queries.map { q =>
+        stats.count { case (min, max) => q.relate(min, max, 0) != Rect.Disjoint }
+      }
+      touched.sum.toDouble / queries.length
     }
-    touched.sum.toDouble / queries.length
-  }
 }

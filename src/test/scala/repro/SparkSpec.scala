@@ -1,10 +1,10 @@
 package repro
 
 import org.apache.spark.sql.SparkSession
-import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
 
-/** Base for every test: one local-mode SparkSession for the whole run.
+/** Base for the suites that run Spark: one local-mode SparkSession for
+  * the whole run.
   *
   * The Spark suites use it for the curve UDFs, the `BlockAccess` pipeline,
   * the Parquet layouts of `Layout` and `LayoutExp`, and the DataFrames the
@@ -14,10 +14,8 @@ import org.scalatest.funsuite.AnyFunSuite
   * Broadcast joins are disabled, so the one join under test
   * (`SqlCurveSpec`) runs as a shuffle join.
   */
-trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
+trait SparkSpec extends AnyFunSuite {
   lazy val spark: SparkSession = SparkSpec.shared
-
-  override def afterAll(): Unit = { super.afterAll() }
 }
 
 object SparkSpec {

@@ -1,10 +1,10 @@
 package repro.core
 
 import java.util.Random
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 
 /** BMC representation and curve-value calculation (Section 3.1). */
-class BMCSpec extends SparkSpec {
+class BMCSpec extends AnyFunSuite {
 
   test("fromString/toString round-trip, MSB first") {
     val bmc = BMC.fromString("YXYX")
@@ -80,12 +80,6 @@ class BMCSpec extends SparkSpec {
       for (i <- 0 until 3; j <- 0 until 3)
         assert(bmc.ranks(i)(j) < bmc.ranks(i)(j + 1), s"$bmc dim $i bit $j")
     }
-  }
-
-  test("countBelow prefix sums are consistent with dims") {
-    val bmc = BMC.fromString("ZYXZYXZYX")
-    for (r <- 0 to bmc.length; m <- 0 until 3)
-      assert(bmc.countBelow(r)(m) == bmc.dims.take(r).count(_ == m))
   }
 
   // Bijectivity: every cell maps to a distinct value and inverse recovers it.

@@ -2,10 +2,10 @@ package repro.core
 
 import java.util.Random
 import org.scalacheck.{Gen, Prop, Test => SCTest}
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 
 /** Block-access simulation of an SFC-clustered B⁺-tree (DESIGN.md § 4). */
-class ClusteredIndexSpec extends SparkSpec {
+class ClusteredIndexSpec extends AnyFunSuite {
 
   private def bruteForce(points: Array[Array[Long]], curve: SpaceFillingCurve,
                          b: Int, q: Rect): Long = {

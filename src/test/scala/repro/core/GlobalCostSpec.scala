@@ -1,10 +1,10 @@
 package repro.core
 
 import java.util.Random
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 
 /** Global cost estimation (Section 4.1, Eq. 5–6). */
-class GlobalCostSpec extends SparkSpec {
+class GlobalCostSpec extends AnyFunSuite {
 
   private def span(q: Rect, bmc: BMC): BigInt =
     BigInt(bmc.value(q.hi)) - BigInt(bmc.value(q.lo)) + 1

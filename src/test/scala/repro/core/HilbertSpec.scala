@@ -1,9 +1,9 @@
 package repro.core
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 
 /** Hilbert curve substrate (the HC baseline). */
-class HilbertSpec extends SparkSpec {
+class HilbertSpec extends AnyFunSuite {
 
   private def neighbors(a: Array[Long], b: Array[Long]): Boolean =
     a.indices.map(i => math.abs(a(i) - b(i))).sum == 1

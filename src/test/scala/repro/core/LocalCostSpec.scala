@@ -1,12 +1,12 @@
 package repro.core
 
 import java.util.Random
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 
 /** Local cost estimation (Section 4.2): rise/drop patterns, directed-edge
   * counting, pattern tables, and Eq. 3/7.
   */
-class LocalCostSpec extends SparkSpec {
+class LocalCostSpec extends AnyFunSuite {
 
   // ---------- rise / drop pattern counting formulas ----------
 
@@ -158,7 +158,7 @@ class LocalCostSpec extends SparkSpec {
 
   // ---------- pattern tables (Algorithms 1 and 2) ----------
 
-  for (d <- 2 to 4) {
+  for (d <- 1 to 4) {
     test(s"pattern tables equal per-query pattern counting (d=$d)") {
       val l = if (d == 4) 2 else 3
       val rng = new Random(d)
@@ -188,13 +188,18 @@ class LocalCostSpec extends SparkSpec {
     assert(tables.totalVolume == BigInt(16 + 8))
   }
 
+  test("a query volume past Long.MaxValue throws instead of wrapping") {
+    val q = Rect.of2d(0, (1L << 62) - 1, 0, 3) // 2⁶² · 4 = 2⁶⁴ cells
+    intercept[ArithmeticException](q.volume)
+  }
+
   test("one initialization serves many BMCs (tables are immutable)") {
     val rng = new Random(14)
     val qs = Array.fill(6)(randomRect(2, 3, rng)).toSeq
     val tables = LocalCost.PatternTables(qs, 2, 3)
-    val snapshot = tables.tables.map(_.map(_.toSeq).toSeq).toSeq
+    val snapshot = tables.tables.map(_.toSeq).toSeq
     for (bmc <- BMC.all(2, 3)) tables.edges(bmc)
-    assert(tables.tables.map(_.map(_.toSeq).toSeq).toSeq == snapshot)
+    assert(tables.tables.map(_.toSeq).toSeq == snapshot)
   }
 
   test("tables reject mismatched BMC shapes") {
@@ -221,10 +226,17 @@ class LocalCostSpec extends SparkSpec {
     assert(tables.cost(BMC.zOrder(3, 20)) == BigInt(511))
   }
 
-  test("tables refuse a d=8, ℓ=7 shape before allocating 896 MiB") {
+  test("tables refuse a d=8, ℓ=7 shape before allocating 1 GiB") {
     val q = Rect(Array.fill(8)(0L), Array.fill(8)(1L))
     val e = intercept[IllegalArgumentException](LocalCost.PatternTables(Seq(q), 8, 7))
-    assert(e.getMessage.contains("d=8") && e.getMessage.contains("117440512 cells"), e.getMessage)
+    // d · Π(ℓ_m+1) = 8 · 8⁸ cells.
+    assert(e.getMessage.contains("d=8") && e.getMessage.contains("134217728 cells"), e.getMessage)
+  }
+
+  test("tables refuse a d=64, ℓ=1 shape whose 2⁶⁴ vertices overflow Long") {
+    val q = Rect(Array.fill(64)(0L), Array.fill(64)(0L))
+    val e = intercept[IllegalArgumentException](LocalCost.PatternTables(Seq(q), 64, 1))
+    assert(e.getMessage.contains("d=64"), e.getMessage)
   }
 
   test("non-uniform bits per dimension: tables equal per-query counting") {

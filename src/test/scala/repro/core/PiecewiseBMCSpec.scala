@@ -1,10 +1,10 @@
 package repro.core
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import PiecewiseBMC._
 
 /** Piecewise BMC (the BMTree's curve family). */
-class PiecewiseBMCSpec extends SparkSpec {
+class PiecewiseBMCSpec extends AnyFunSuite {
 
   test("a single-leaf piecewise curve equals its BMC") {
     val bmc = BMC.zOrder(2, 3)

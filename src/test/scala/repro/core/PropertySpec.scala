@@ -1,10 +1,10 @@
 package repro.core
 
 import org.scalacheck.{Gen, Prop, Test => SCTest}
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 
 /** Randomized property checks over the core algebra (ScalaCheck). */
-class PropertySpec extends SparkSpec {
+class PropertySpec extends AnyFunSuite {
 
   /** Run a ScalaCheck property and fail the ScalaTest test on violation. */
   private def check(p: Prop, minTests: Int = 80): Unit = {

@@ -1,9 +1,9 @@
 package repro.core
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 
 /** Synthetic dataset generators (dataset substitutes, DESIGN.md § 4). */
-class SpatialGenSpec extends SparkSpec {
+class SpatialGenSpec extends AnyFunSuite {
 
   for (dist <- SpatialGen.Distributions) {
     test(s"$dist: points lie in [0,1)² and are deterministic in the seed") {

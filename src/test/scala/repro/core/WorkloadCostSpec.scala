@@ -1,10 +1,10 @@
 package repro.core
 
 import java.util.Random
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 
 /** Combined cost model C = Cg · Cl (Eq. 4) and its ranking power. */
-class WorkloadCostSpec extends SparkSpec {
+class WorkloadCostSpec extends AnyFunSuite {
 
   test("combined cost is the product of global and local costs") {
     val qs = Workloads.randomRects(2, 10, 8, 4, 1).toSeq

@@ -1,9 +1,9 @@
 package repro.core
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 
 /** Query workload generators (Section 6.1 settings). */
-class WorkloadsSpec extends SparkSpec {
+class WorkloadsSpec extends AnyFunSuite {
 
   test("squares have the requested edge length in both dimensions") {
     val qs = Workloads.squares("UNI", 100, 16, 8, 1)

@@ -1,10 +1,10 @@
 package repro.learn
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.core._
 
 /** BMTree learner with pluggable rewards (Section 6.3 substrate). */
-class BMTreeSpec extends SparkSpec {
+class BMTreeSpec extends AnyFunSuite {
 
   private val bits = 5
   private def data(dist: String = "OSM", n: Int = 3000, seed: Long = 1) =

@@ -1,10 +1,10 @@
 package repro.learn
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.core._
 
 /** LBMC reinforcement-learning curve search (Section 5, Algorithm 3). */
-class LBMCSpec extends SparkSpec {
+class LBMCSpec extends AnyFunSuite {
 
   private def workload(seed: Long, bits: Int, n: Int = 24): WorkloadCost = {
     // Stretched queries: tall thin rectangles make the optimum non-trivial.

@@ -1,9 +1,9 @@
 package repro.learn
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 
 /** The pure-Scala MLP/Adam substrate behind the DQN. */
-class MLPSpec extends SparkSpec {
+class MLPSpec extends AnyFunSuite {
 
   test("forward pass has the right output arity") {
     val net = new MLP(4, 8, 3, seed = 1)

@@ -1,10 +1,10 @@
 package repro.learn
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.core._
 
 /** QUILTS baseline (query-shape-driven curve design). */
-class QuiltsSpec extends SparkSpec {
+class QuiltsSpec extends AnyFunSuite {
 
   test("candidates are valid uniform BMCs") {
     val qs = Workloads.randomRects(2, 20, 16, 5, 1).toSeq

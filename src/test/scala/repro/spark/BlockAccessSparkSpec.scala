@@ -48,12 +48,15 @@ class BlockAccessSparkSpec extends SparkSpec {
     val n = 3000
     val pts = SpatialGen.quantizeAll(SpatialGen.points("SKEW", n, 5), bits)
     val df = SpatialData.dataset(spark, "SKEW", n, 5, bits)
-    val queries = Workloads.squares("SKEW", 20, 16, bits, 6)
     val curve = new Hilbert(2, bits)
     val b = 32
-    val driverAvg = ClusteredIndex.build(pts, curve, b).avgBlockAccesses(queries.toSeq)
-    val sparkAvg = BlockAccess.average(spark, df, curve, b, queries)
-    assert(math.abs(driverAvg - sparkAvg) < 1e-9)
+    val index = ClusteredIndex.build(pts, curve, b)
+    // The empty workload averages 0 on both sides.
+    for (queries <- Seq(Workloads.squares("SKEW", 20, 16, bits, 6), Array.empty[Rect])) {
+      val driverAvg = index.avgBlockAccesses(queries.toSeq)
+      val sparkAvg = BlockAccess.average(spark, df, curve, b, queries)
+      assert(math.abs(driverAvg - sparkAvg) < 1e-9, s"${queries.length} queries")
+    }
   }
 
   test("better curves yield fewer block accesses in the Spark pipeline too") {

@@ -86,6 +86,7 @@ class LayoutSpec extends SparkSpec {
     val touched = Layout.avgFilesTouched(spark, path, qs)
     val files = Layout.fileStats(spark, path).count()
     assert(touched >= 0.0 && touched <= files.toDouble)
+    assert(Layout.avgFilesTouched(spark, path, Array.empty[Rect]) == 0.0, "empty workload")
   }
 
   test("avgFilesTouched agrees with the file boxes read from the Parquet footers") {
