@@ -93,6 +93,9 @@ object CostEfficiencyExp {
     val cands = candidates(d, bits, m)
     val tables0 = LocalCost.PatternTables(qs, d, bits)
     warmup(60)(tables0.cost(cands(0)))
+    // A naive scan takes milliseconds, so it gets its own budget: sharing
+    // one would leave LC a few dozen calls, too few to compile it.
+    warmup(60)(LocalCost.naive(qs.take(1), cands(0)))
     val initNanos = TableFmt.bestOf(3)(LocalCost.PatternTables(qs, d, bits))
     val tables = LocalCost.PatternTables(qs, d, bits)
     var sink = BigInt(0)

@@ -18,6 +18,7 @@ final case class LBMCResult(
     bestCost: BigInt,
     costTrace: Vector[Double], // C_t / C_1 per step, the paper's Fig. 8e
     rewardNanos: Long,         // time spent in cost estimation (reward calc)
+    networkNanos: Long,        // time in Q- and target-network forwards and training
     totalNanos: Long)
 
 /** LBMC: reinforcement-learning search for a query-efficient BMC
@@ -46,8 +47,30 @@ final class LBMC(cost: WorkloadCost, cfg: LBMCConfig = LBMCConfig()) {
   }
 
   /** Actions that change σ (swapping two same-dimension bits is a no-op). */
-  private def validActions(sigma: BMC): Array[Int] =
-    (0 until nActions).filter(a => sigma.dims(a) != sigma.dims(a + 1)).toArray
+  private def validActions(sigma: BMC): Array[Int] = {
+    val dims = sigma.dims
+    val valid = new Array[Int](nActions)
+    var n = 0
+    var a = 0
+    while (a < nActions) {
+      if (dims(a) != dims(a + 1)) { valid(n) = a; n += 1 }
+      a += 1
+    }
+    java.util.Arrays.copyOf(valid, n)
+  }
+
+  /** The first of `actions` with the greatest `q`, ordered by
+    * `java.lang.Double.compare` (as `Ordering.Double` orders them).
+    */
+  private def argMax(actions: Array[Int], q: Array[Double]): Int = {
+    var best = actions(0)
+    var k = 1
+    while (k < actions.length) {
+      if (java.lang.Double.compare(q(actions(k)), q(best)) > 0) best = actions(k)
+      k += 1
+    }
+    best
+  }
 
   /** Run Algorithm 3 from `init` and return the best BMC encountered. */
   def learn(init: BMC): LBMCResult = {
@@ -61,14 +84,23 @@ final class LBMC(cost: WorkloadCost, cfg: LBMCConfig = LBMCConfig()) {
       rewardNanos += System.nanoTime() - c0
       c
     }
+    var networkNanos = 0L
+    def timedNet[A](f: => A): A = {
+      val n0 = System.nanoTime()
+      val a = f
+      networkNanos += System.nanoTime() - n0
+      a
+    }
 
     val rng = new Random(cfg.seed)
     val qNet = new MLP(stateSize, Hidden, nActions, cfg.seed + 1, LearningRate)
     val target = new MLP(stateSize, Hidden, nActions, cfg.seed + 1, LearningRate)
     target.copyWeightsFrom(qNet)
+    // Target syncs so far: a transition's cached max Q is current while
+    // its epoch equals this, since the target weights change only at syncs.
+    var syncs = 0
 
-    // Replay memory MQ: (state, action, reward, nextState, nextValidActions).
-    val mq = new ArrayBuffer[(Array[Double], Int, Double, Array[Double], Array[Int])]
+    val mq = new ArrayBuffer[Transition]
     val trace = Vector.newBuilder[Double]
 
     val c1 = timedCost(init)
@@ -87,10 +119,7 @@ final class LBMC(cost: WorkloadCost, cfg: LBMCConfig = LBMCConfig()) {
           (ExploitEnd - ExploitStart) * globalStep / math.max(1, totalSteps - 1)
         val action =
           if (rng.nextDouble() >= exploit) valid(rng.nextInt(valid.length))
-          else {
-            val q = qNet.forward(state)
-            valid.maxBy(q(_))
-          }
+          else argMax(valid, timedNet(qNet.forward(state)))
         val next = sigma.swap(action)
         val nextCost = timedCost(next)
         val reward = (curCost - nextCost) / c1
@@ -98,19 +127,26 @@ final class LBMC(cost: WorkloadCost, cfg: LBMCConfig = LBMCConfig()) {
         val nextValid = validActions(next)
 
         if (mq.size >= Replay) mq.remove(0)
-        mq += ((state, action, reward, nextState, nextValid))
+        mq += new Transition(state, action, reward, nextState, nextValid)
 
         if (mq.size >= Batch) {
           val batch = Seq.fill(Batch)(mq(rng.nextInt(mq.size)))
-          val samples = batch.map { case (s, a, r, s2, v2) =>
-            val q2 = target.forward(s2)
-            val maxQ = if (v2.isEmpty) 0.0 else v2.map(q2(_)).max
-            (s, a, r + Gamma * maxQ)
+          val samples = batch.map { t =>
+            if (t.epoch < syncs) {
+              t.maxQ =
+                if (t.nextValid.isEmpty) 0.0
+                else {
+                  val q2 = timedNet(target.forward(t.nextState))
+                  q2(argMax(t.nextValid, q2))
+                }
+              t.epoch = syncs
+            }
+            (t.state, t.action, t.reward + Gamma * t.maxQ)
           }
-          qNet.trainBatch(samples)
+          timedNet(qNet.trainBatch(samples))
         }
         globalStep += 1
-        if (globalStep % TargetSync == 0) target.copyWeightsFrom(qNet)
+        if (globalStep % TargetSync == 0) { target.copyWeightsFrom(qNet); syncs += 1 }
 
         sigma = next
         curCost = nextCost
@@ -119,7 +155,7 @@ final class LBMC(cost: WorkloadCost, cfg: LBMCConfig = LBMCConfig()) {
         if (curCost < bestCost) { bestCost = curCost; best = sigma }
       }
     }
-    LBMCResult(best, cost.cost(best), trace.result(), rewardNanos, System.nanoTime() - t0)
+    LBMCResult(best, cost.cost(best), trace.result(), rewardNanos, networkNanos, System.nanoTime() - t0)
   }
 }
 
@@ -140,4 +176,13 @@ object LBMC {
   val TargetSync = 50
   /** SGD learning rate of the DQN. */
   val LearningRate = 1e-3
+
+  /** A replay-memory entry of MQ, with the target network's max Q over
+    * `nextValid` at `nextState` as computed at sync epoch `epoch` (−1: never).
+    */
+  private final class Transition(val state: Array[Double], val action: Int, val reward: Double,
+                                 val nextState: Array[Double], val nextValid: Array[Int]) {
+    var maxQ = 0.0
+    var epoch = -1
+  }
 }

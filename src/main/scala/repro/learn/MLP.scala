@@ -16,21 +16,26 @@ final class MLP(val inputs: Int, val hidden: Int, val outputs: Int, seed: Long, 
 
   private val rng = new Random(seed)
 
-  /** He initialization for a ReLU layer: one row of `cols` weights per unit. */
-  private def he(rows: Int, cols: Int): Array[Array[Double]] = {
-    val scale = math.sqrt(2.0 / cols)
-    Array.fill(rows, cols)(rng.nextGaussian() * scale)
+  /** He initialization for a ReLU layer of `units` units over `fanIn`
+    * inputs, stored input-major (`w(input)(unit)`) but drawn unit by unit,
+    * then input, so each weight gets the same draw in either layout.
+    */
+  private def he(fanIn: Int, units: Int): Array[Array[Double]] = {
+    val scale = math.sqrt(2.0 / fanIn)
+    val w = Array.ofDim[Double](fanIn, units)
+    for (o <- 0 until units; i <- 0 until fanIn) w(i)(o) = rng.nextGaussian() * scale
+    w
   }
 
-  // w1(hidden)(input), w2(output)(hidden), drawn in this order; zero biases.
-  private[learn] val w1 = he(hidden, inputs)
-  private[learn] val w2 = he(outputs, hidden)
-  private val b1 = new Array[Double](hidden)
-  private val b2 = new Array[Double](outputs)
+  // w1(input)(hidden), w2(hidden)(output), drawn in this order; zero biases.
+  private[learn] val w1 = he(inputs, hidden)
+  private[learn] val w2 = he(hidden, outputs)
+  private[learn] val b1 = new Array[Double](hidden)
+  private[learn] val b2 = new Array[Double](outputs)
 
   // Adam state.
-  private val mw1, vw1 = Array.ofDim[Double](hidden, inputs)
-  private val mw2, vw2 = Array.ofDim[Double](outputs, hidden)
+  private val mw1, vw1 = Array.ofDim[Double](inputs, hidden)
+  private val mw2, vw2 = Array.ofDim[Double](hidden, outputs)
   private val mb1, vb1 = new Array[Double](hidden)
   private val mb2, vb2 = new Array[Double](outputs)
   private var adamT = 0
@@ -40,22 +45,34 @@ final class MLP(val inputs: Int, val hidden: Int, val outputs: Int, seed: Long, 
 
   // Training buffers, allocated once: the gradients, and the hidden
   // activations, hidden deltas and outputs of one sample.
-  private val gw1 = Array.ofDim[Double](hidden, inputs)
-  private val gw2 = Array.ofDim[Double](outputs, hidden)
+  private val gw1 = Array.ofDim[Double](inputs, hidden)
+  private val gw2 = Array.ofDim[Double](hidden, outputs)
   private val gb1, h, dh = new Array[Double](hidden)
   private val gb2, out = new Array[Double](outputs)
 
-  /** `out = w·in + b`, clamped at zero when `relu`. */
+  /** `out = b + Σ_i in(i)·w(i)`, clamped at zero when `relu`: one axpy per
+    * nonzero input, in ascending `i`, so each output adds the same terms in
+    * the same order as a row-by-row dot product. A skipped term is
+    * `w·0 = ±0.0`, which leaves the sum unchanged because the sum is never
+    * −0.0: it starts at a bias, which Adam cannot make −0.0 from +0.0, and
+    * a sum of nonzero terms is never −0.0 (finite weights assumed).
+    */
   private def layer(w: Array[Array[Double]], b: Array[Double], in: Array[Double],
                     out: Array[Double], relu: Boolean): Unit = {
-    var o = 0
-    while (o < out.length) {
-      var s = b(o)
-      val row = w(o)
-      var i = 0
-      while (i < in.length) { s += row(i) * in(i); i += 1 }
-      out(o) = if (relu && s < 0) 0.0 else s
-      o += 1
+    System.arraycopy(b, 0, out, 0, out.length)
+    var i = 0
+    while (i < in.length) {
+      val x = in(i)
+      if (x != 0.0) {
+        val row = w(i)
+        var o = 0
+        while (o < out.length) { out(o) += row(o) * x; o += 1 }
+      }
+      i += 1
+    }
+    if (relu) {
+      var o = 0
+      while (o < out.length) { if (out(o) < 0) out(o) = 0.0; o += 1 }
     }
   }
 
@@ -70,12 +87,6 @@ final class MLP(val inputs: Int, val hidden: Int, val outputs: Int, seed: Long, 
   /** Network output for input `x`. */
   def forward(x: Array[Double]): Array[Double] =
     forwardInto(x, new Array[Double](hidden), new Array[Double](outputs))
-
-  /** `row += scale · v`, element by element. */
-  private def addScaled(row: Array[Double], scale: Double, v: Array[Double]): Unit = {
-    var i = 0
-    while (i < row.length) { row(i) += scale * v(i); i += 1 }
-  }
 
   /** One Adam step on a minibatch. Each sample supplies the target value
     * for exactly one output unit (`action`); returns the mean squared
@@ -94,18 +105,27 @@ final class MLP(val inputs: Int, val hidden: Int, val outputs: Int, seed: Long, 
       val err = out(action) - target
       loss += err * err
       // Backprop: the output delta is zero except at the chosen action.
+      // Zero inputs and zero hidden units add ±0.0 terms, skipped as in `layer`.
       val dOut = 2.0 * err / n
       if (dOut != 0.0) {
         gb2(action) += dOut
-        addScaled(gw2(action), dOut, h)
-        val w2row = w2(action)
         var i = 0
-        while (i < hidden) { dh(i) = if (h(i) <= 0) 0.0 else dOut * w2row(i); i += 1 } // ReLU derivative
-        var o = 0
-        while (o < hidden) {
-          val dl = dh(o)
-          if (dl != 0.0) { gb1(o) += dl; addScaled(gw1(o), dl, x) }
-          o += 1
+        while (i < hidden) {
+          val hi = h(i)
+          if (hi != 0.0) gw2(i)(action) += dOut * hi
+          dh(i) = if (hi <= 0) 0.0 else dOut * w2(i)(action) // ReLU derivative
+          gb1(i) += dh(i)
+          i += 1
+        }
+        i = 0
+        while (i < inputs) {
+          val xi = x(i)
+          if (xi != 0.0) {
+            val g = gw1(i)
+            var o = 0
+            while (o < hidden) { g(o) += dh(o) * xi; o += 1 }
+          }
+          i += 1
         }
       }
     }
@@ -127,11 +147,11 @@ final class MLP(val inputs: Int, val hidden: Int, val outputs: Int, seed: Long, 
         i += 1
       }
     }
-    var o = 0
-    while (o < hidden) { update(w1(o), gw1(o), mw1(o), vw1(o)); o += 1 }
+    var i = 0
+    while (i < inputs) { update(w1(i), gw1(i), mw1(i), vw1(i)); i += 1 }
     update(b1, gb1, mb1, vb1)
-    o = 0
-    while (o < outputs) { update(w2(o), gw2(o), mw2(o), vw2(o)); o += 1 }
+    i = 0
+    while (i < hidden) { update(w2(i), gw2(i), mw2(i), vw2(i)); i += 1 }
     update(b2, gb2, mb2, vb2)
   }
 

@@ -2,6 +2,7 @@ package repro.learn
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core._
+import scala.util.hashing.MurmurHash3
 
 /** LBMC reinforcement-learning curve search (Section 5, Algorithm 3). */
 class LBMCSpec extends AnyFunSuite {
@@ -86,6 +87,21 @@ class LBMCSpec extends AnyFunSuite {
       .learn(BMC.zOrder(2, 3))
     assert(res.rewardNanos > 0)
     assert(res.rewardNanos <= res.totalNanos)
+    assert(res.rewardNanos + res.networkNanos <= res.totalNanos)
+  }
+
+  test("a fixed run reproduces its pinned best curve and cost trace") {
+    // 10 × 40 steps: training from step 32 on, and eight target syncs.
+    // The pinned values come from the row-major network that called the
+    // target network for every sampled transition.
+    val wc = workload(10, 6)
+    val res = new LBMC(wc, LBMCConfig(episodes = 10, steps = 40)).learn(BMC.zOrder(2, 6))
+    assert(res.best.toString == "XXYYYXXXXYYY")
+    assert(res.bestCost == BigInt(2264600))
+    assert(res.costTrace.size == 400)
+    assert(MurmurHash3.orderedHash(res.costTrace.map(java.lang.Double.doubleToRawLongBits)) == -185366989)
+    assert(res.networkNanos > 0)
+    assert(res.rewardNanos + res.networkNanos <= res.totalNanos)
   }
 
   test("a mismatched initial BMC is rejected") {

@@ -65,8 +65,8 @@ class MLPSpec extends AnyFunSuite {
   }
 
   test("numeric gradient check on a tiny network") {
-    // Compare the backprop update direction with a finite-difference
-    // estimate of dLoss/dw for a few weights.
+    // Compare the backprop update direction of every weight with a
+    // central finite-difference estimate of dLoss/dw.
     val x = Array(0.4, -0.3)
     val target = 0.7
     def loss(net: MLP): Double = {
@@ -74,20 +74,80 @@ class MLPSpec extends AnyFunSuite {
       o * o
     }
     val eps = 1e-6
-    // Clone two identical nets; perturb one weight in the second.
     val net = new MLP(2, 4, 1, seed = 11)
     val pert = new MLP(2, 4, 1, seed = 11)
     pert.copyWeightsFrom(net)
-    pert.w1(0)(0) += eps
-    val numGrad = (loss(pert) - loss(net)) / eps
-    // One training step with a large-lr fresh Adam: weight must move
-    // opposite to the numeric gradient's sign (Adam normalizes magnitude).
-    val w0 = net.w1(0)(0)
+    def numGrad(w: Array[Array[Double]], i: Int, o: Int): Double = {
+      val w0 = w(i)(o)
+      w(i)(o) = w0 + eps
+      val up = loss(pert)
+      w(i)(o) = w0 - eps
+      val down = loss(pert)
+      w(i)(o) = w0
+      (up - down) / (2 * eps)
+    }
+    val grads = Seq(pert.w1, pert.w2).map(w => w.indices.map(i => w(i).indices.map(numGrad(w, i, _))))
+    val before = Seq(net.w1, net.w2).map(_.map(_.clone))
+    // One step of a fresh Adam moves each weight by about lr against the
+    // sign of its gradient (Adam normalizes the magnitude).
     net.trainBatch(Seq((x, 0, target)))
-    val moved = net.w1(0)(0) - w0
-    if (math.abs(numGrad) > 1e-9)
-      assert(math.signum(moved) == -math.signum(numGrad),
-        s"numeric grad $numGrad but weight moved $moved")
+    for ((w, layer) <- Seq(net.w1, net.w2).zipWithIndex) {
+      var checked = 0
+      for (i <- w.indices; o <- w(i).indices) {
+        val g = grads(layer)(i)(o)
+        if (math.abs(g) > 1e-4) {
+          val moved = w(i)(o) - before(layer)(i)(o)
+          assert(math.signum(moved) == -math.signum(g),
+            s"w${layer + 1}($i)($o): numeric grad $g but weight moved $moved")
+          checked += 1
+        }
+      }
+      assert(checked > 0, s"no w${layer + 1} weight has a non-negligible gradient")
+    }
+  }
+
+  /** `new MLP` and the row-major reference after the same `trainBatch`
+    * steps agree bit for bit on every weight and every output.
+    */
+  private def assertMatchesReference(inputs: Int, hidden: Int, outputs: Int, seed: Long,
+                                     sample: java.util.Random => Array[Double]): Unit = {
+    val net = new MLP(inputs, hidden, outputs, seed)
+    val ref = new RowMajorMLP(inputs, hidden, outputs, seed)
+    def bits(xs: Iterable[Double]): Seq[Long] = xs.map(java.lang.Double.doubleToRawLongBits).toSeq
+    def assertSameWeights(step: Int): Unit = {
+      assert(bits(net.w1.flatten) == bits(ref.w1.transpose.flatten), s"w1 after $step steps")
+      assert(bits(net.w2.flatten) == bits(ref.w2.transpose.flatten), s"w2 after $step steps")
+      assert(bits(net.b1) == bits(ref.b1), s"b1 after $step steps")
+      assert(bits(net.b2) == bits(ref.b2), s"b2 after $step steps")
+    }
+    assertSameWeights(0)
+    val rng = new java.util.Random(seed + 100)
+    for (step <- 1 to 300) {
+      val batch = Seq.fill(32)((sample(rng), rng.nextInt(outputs), rng.nextGaussian()))
+      for ((x, _, _) <- batch) assert(bits(net.forward(x)) == bits(ref.forward(x)), s"outputs at step $step")
+      assert(java.lang.Double.doubleToRawLongBits(net.trainBatch(batch)) ==
+        java.lang.Double.doubleToRawLongBits(ref.trainBatch(batch)), s"loss at step $step")
+      assertSameWeights(step)
+    }
+  }
+
+  test("input-major MLP equals the row-major reference bit for bit on one-hot inputs") {
+    // LBMC's shape at d = 2, L = 32: one of each rank's d inputs is set.
+    val (d, rankCount) = (2, 32)
+    assertMatchesReference(d * rankCount, 64, rankCount - 1, seed = 21, rng => {
+      val x = new Array[Double](d * rankCount)
+      for (r <- 0 until rankCount) x(r * d + rng.nextInt(d)) = 1.0
+      x
+    })
+  }
+
+  test("input-major MLP equals the row-major reference bit for bit on dense inputs with exact zeros") {
+    assertMatchesReference(12, 16, 5, seed = 22, rng =>
+      Array.fill(12)(rng.nextInt(4) match {
+        case 0 => 0.0
+        case 1 => -0.0
+        case _ => rng.nextGaussian()
+      }))
   }
 
   test("copyWeightsFrom makes networks identical") {
