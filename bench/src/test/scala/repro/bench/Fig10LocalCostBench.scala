@@ -11,8 +11,8 @@ import repro.exp.CostEfficiencyExp
 class Fig10LocalCostBench extends AnyFunSuite {
 
   private def run(panel: Char): Seq[CostEfficiencyExp.Row] = {
-    val rows = CostEfficiencyExp.sweep("local", panel)
-    println(CostEfficiencyExp.sweepTable("local", panel, rows))
+    val rows = CostEfficiencyExp.sweep(CostEfficiencyExp.Local, panel)
+    println(CostEfficiencyExp.sweepTable(CostEfficiencyExp.Local, panel, rows))
     rows
   }
 

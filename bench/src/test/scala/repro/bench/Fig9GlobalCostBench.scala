@@ -10,8 +10,8 @@ import repro.exp.CostEfficiencyExp
 class Fig9GlobalCostBench extends AnyFunSuite {
 
   private def run(panel: Char): Seq[CostEfficiencyExp.Row] = {
-    val rows = CostEfficiencyExp.sweep("global", panel)
-    println(CostEfficiencyExp.sweepTable("global", panel, rows))
+    val rows = CostEfficiencyExp.sweep(CostEfficiencyExp.Global, panel)
+    println(CostEfficiencyExp.sweepTable(CostEfficiencyExp.Global, panel, rows))
     rows
   }
 

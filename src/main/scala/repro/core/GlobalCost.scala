@@ -10,11 +10,12 @@ package repro.core
 object GlobalCost {
 
   /** NGC: the naive baseline — Eq. 5 evaluated per query, `O(n·d·ℓ)` per
-    * candidate BMC.
+    * candidate BMC. A query off the BMC's grid is refused.
     */
   def naive(queries: Seq[Rect], bmc: BMC): BigInt = {
     var total = BigInt(0)
     for (q <- queries) {
+      q.requireOnGrid(bmc.bitsPerDim)
       var span = BigInt(0)
       var j = 0
       while (j < bmc.d) {
@@ -36,7 +37,8 @@ object GlobalCost {
     *
     * Construction performs the O(n) initialization scan (IGC) computing the
     * BMC-independent table `A[j][k] = Σ_q (bit_k(hi_j) − bit_k(lo_j))`;
-    * [[cost]] then evaluates any BMC in `O(d·ℓ)` time.
+    * [[cost]] then evaluates any BMC in `O(d·ℓ)` time. A query off the
+    * grid is refused.
     *
     * @param queries     the workload Q
     * @param d           dimensionality
@@ -52,7 +54,7 @@ object GlobalCost {
     val A: Array[Array[Long]] = {
       val a = Array.tabulate(d)(j => new Array[Long](bitsPerDim(j)))
       for (q <- queries) {
-        require(q.d == d, s"query dim ${q.d} != $d")
+        q.requireOnGrid(bitsPerDim)
         var j = 0
         while (j < d) {
           var k = 0

@@ -114,9 +114,9 @@ object LocalCost {
     *
     * All counts are exact `Long`s: every table entry, drop product and edge
     * count is a sum of per-query terms each at most V(q), so the workload
-    * is refused unless ΣV(q) ≤ `Long.MaxValue`. Shapes whose tables exceed
-    * [[PatternTables.MaxCells]] cells are refused before anything is
-    * allocated.
+    * is refused unless ΣV(q) ≤ `Long.MaxValue`, and so is a query off the
+    * grid. Shapes whose tables exceed [[PatternTables.MaxCells]] cells are
+    * refused before anything is allocated.
     */
   final class PatternTables(queries: Seq[Rect], val d: Int, val bitsPerDim: Array[Int]) {
     require(queries.nonEmpty, "empty workload")
@@ -148,21 +148,30 @@ object LocalCost {
 
     /** tables(b)(c): `T_b[c]` at the vertex index `c = Σ_m c_m·stride(m)`.
       *
-      * Per query and dimension b, the product over dimensions 0…d−2 is
-      * expanded in place (b's factor is its rise vector shifted by one,
-      * the others' their drop vectors); the last dimension's factor then
-      * scales it straight into Table^b, skipping zero factors. Buffers are
-      * hoisted out of the per-query loop: this constructor is the ILC
-      * initialization the benches time, and per-query allocations would
-      * dominate it.
+      * Per query and dimension b, Alg. 1's product is an outer product of
+      * one count vector per dimension (b's rises, the others' drops), added
+      * into Table^b by `add`, which walks dimensions d−1 down to 0 and
+      * skips zero factors. Every partial product is at most V(q), so the
+      * ΣV refusal keeps it exact, and exact `Long` sums are the same in any
+      * order. The count vectors are hoisted out of the per-query loop: this
+      * constructor is the ILC initialization the benches time.
       */
     val tables: Array[Array[Long]] = {
       val t = Array.fill(d)(new Array[Long](stride(d)))
       val drops = Array.tabulate(d)(m => new Array[Long](bitsPerDim(m) + 1))
       val rises = Array.tabulate(d)(m => new Array[Long](bitsPerDim(m) + 1))
-      val prod = new Array[Long](stride(d - 1))
+      // row(base + Σ_{m'≤m} k_m'·stride(m')) += w · Π_{m'≤m} f_m'(k_m').
+      def add(row: Array[Long], b: Int, m: Int, base: Int, w: Long): Unit = {
+        val f = if (m == b) rises(m) else drops(m)
+        var k = 0
+        if (m == 0) while (k < f.length) { row(base + k) += w * f(k); k += 1 }
+        else while (k < f.length) {
+          if (f(k) != 0) add(row, b, m - 1, base + k * stride(m), w * f(k))
+          k += 1
+        }
+      }
       for (q <- queries) {
-        require(q.d == d, s"query dim ${q.d} != $d")
+        q.requireOnGrid(bitsPerDim)
         var m = 0
         while (m < d) {
           var k = 0
@@ -175,39 +184,7 @@ object LocalCost {
         }
         var b = 0
         while (b < d) {
-          if (rises(b).exists(_ != 0)) {
-            prod(0) = 1L
-            m = 0
-            while (m < d - 1) {
-              val f = if (m == b) rises(m) else drops(m)
-              // Expand from high k down so lower segments are still intact.
-              val size = stride(m)
-              var k = f.length - 1
-              while (k >= 0) {
-                var j = size - 1
-                while (j >= 0) {
-                  prod(k * size + j) = prod(j) * f(k)
-                  j -= 1
-                }
-                k -= 1
-              }
-              m += 1
-            }
-            val f = if (b == d - 1) rises(b) else drops(d - 1)
-            val row = t(b)
-            var k = 0
-            while (k < f.length) {
-              if (f(k) != 0) {
-                val base = k * prod.length
-                var j = 0
-                while (j < prod.length) {
-                  row(base + j) += f(k) * prod(j)
-                  j += 1
-                }
-              }
-              k += 1
-            }
-          }
+          if (rises(b).exists(_ != 0)) add(t(b), b, d - 1, 0, 1L)
           b += 1
         }
       }

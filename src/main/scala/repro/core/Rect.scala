@@ -27,6 +27,20 @@ final case class Rect(lo: Array[Long], hi: Array[Long]) {
     v
   }
 
+  /** Refuses a query that is not `bitsPerDim.length`-dimensional or that
+    * leaves the grid `[0, 2^ℓ_i)` of some dimension i: the cost models
+    * read coordinates bit by bit and would silently alias it.
+    */
+  def requireOnGrid(bitsPerDim: Array[Int]): Unit = {
+    require(d == bitsPerDim.length, s"query dim $d != ${bitsPerDim.length}")
+    var i = 0
+    while (i < d) {
+      require(lo(i) >= 0 && (bitsPerDim(i) >= 63 || hi(i) < (1L << bitsPerDim(i))),
+        s"query $show leaves the grid [0, 2^${bitsPerDim(i)}) of dimension $i")
+      i += 1
+    }
+  }
+
   /** Whether grid cell `p` satisfies the query predicate. */
   def contains(p: Array[Long]): Boolean = {
     var i = 0

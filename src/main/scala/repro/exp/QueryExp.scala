@@ -46,14 +46,20 @@ object QueryExp {
       (c.name, idx.avgBlockAccesses(testQs.toSeq))
     }
 
+  /** One case of Figs. 14–17: every competitor learned on `LearnQueries`
+    * queries from seed + 1 and scored on `TestQueries` from seed + 2, where
+    * `data` comes from seed; `queries(count, seed)` makes each set.
+    */
+  private def scoreCase(data: Array[Array[Long]], seed: Long)(
+      queries: (Int, Long) => Array[Rect]): Seq[(String, Double)] =
+    evaluate(data, competitors(data, queries(LearnQueries, seed + 1)), queries(TestQueries, seed + 2))
+
   /** Fig. 14: all curves on all four datasets. */
   def overall(): Seq[(String, Seq[(String, Double)])] = {
     val seed = 41L
     SpatialGen.Distributions.map { dist =>
       val data = SpatialGen.quantizeAll(SpatialGen.points(dist, DefaultN, seed), DefaultBits)
-      val learnQs = Workloads.squares(dist, LearnQueries, DefaultEdge, DefaultBits, seed + 1)
-      val testQs = Workloads.squares(dist, TestQueries, DefaultEdge, DefaultBits, seed + 2)
-      (dist, evaluate(data, competitors(data, learnQs), testQs))
+      (dist, scoreCase(data, seed)(Workloads.squares(dist, _, DefaultEdge, DefaultBits, _)))
     }
   }
 
@@ -62,9 +68,7 @@ object QueryExp {
     val seed = 51L
     Seq(10_000, 100_000, 1_000_000).map { n =>
       val data = SpatialGen.quantizeAll(SpatialGen.points("OSM", n, seed), DefaultBits)
-      val learnQs = Workloads.squares("OSM", LearnQueries, DefaultEdge, DefaultBits, seed + 1)
-      val testQs = Workloads.squares("OSM", TestQueries, DefaultEdge, DefaultBits, seed + 2)
-      (n, evaluate(data, competitors(data, learnQs), testQs))
+      (n, scoreCase(data, seed)(Workloads.squares("OSM", _, DefaultEdge, DefaultBits, _)))
     }
   }
 
@@ -73,10 +77,8 @@ object QueryExp {
     val seed = 61L
     val data = SpatialGen.quantizeAll(SpatialGen.points("OSM", DefaultN, seed), DefaultBits)
     Seq(16.0, 4.0, 1.0, 0.25, 0.0625).map { r =>
-      val learnQs = Workloads.withAspectRatio("OSM", LearnQueries, DefaultEdge, r, DefaultBits, seed + 1)
-      val testQs = Workloads.withAspectRatio("OSM", TestQueries, DefaultEdge, r, DefaultBits, seed + 2)
       val label = if (r >= 1) s"${r.toInt}:1" else s"1:${(1 / r).toInt}"
-      (label, evaluate(data, competitors(data, learnQs), testQs))
+      (label, scoreCase(data, seed)(Workloads.withAspectRatio("OSM", _, DefaultEdge, r, DefaultBits, _)))
     }
   }
 
@@ -84,11 +86,8 @@ object QueryExp {
   def varyEdge(): Seq[(Long, Seq[(String, Double)])] = {
     val seed = 71L
     val data = SpatialGen.quantizeAll(SpatialGen.points("OSM", DefaultN, seed), DefaultBits)
-    Seq(2048L, 4096L, 8192L, 16384L).map { e =>
-      val learnQs = Workloads.squares("OSM", LearnQueries, e, DefaultBits, seed + 1)
-      val testQs = Workloads.squares("OSM", TestQueries, e, DefaultBits, seed + 2)
-      (e, evaluate(data, competitors(data, learnQs), testQs))
-    }
+    Seq(2048L, 4096L, 8192L, 16384L).map(e =>
+      (e, scoreCase(data, seed)(Workloads.squares("OSM", _, e, DefaultBits, _))))
   }
 
   final case class LearningTime(n: Int, bmtreeNanos: Long, lbmcNanos: Long, quiltsNanos: Long)

@@ -29,16 +29,25 @@ object TableFmt {
     (r, System.nanoTime() - t0)
   }
 
-  /** Best-of-`reps` timing of a side-effect-free thunk (JIT warmup). Runs
-    * stop early once they total `budgetNanos`, so a costly thunk runs once.
+  /** Nanoseconds per run of `f` by the one timing rule of the cost
+    * experiments: after a 60 ms warm-up of `f`, each reading repeats `f`
+    * until it lasts 1 ms and divides by the runs, and the result is the
+    * best of 5 readings, stopping early once they total 0.2 s. A reading
+    * of a few µs would be at the mercy of one pause; a costly `f` runs
+    * twice, once to warm up and once timed.
     */
-  def bestOf[A](reps: Int, budgetNanos: Long = Long.MaxValue)(f: => A): Long = {
-    var best = Long.MaxValue
+  def bestOf[A](f: => A): Double = {
+    val warm = System.nanoTime() + 60_000_000L
+    while (System.nanoTime() < warm) f
+    var best = Double.MaxValue
     var spent = 0L
     var i = 0
-    while (i < reps && spent < budgetNanos) {
-      val (_, t) = timed(f)
-      if (t < best) best = t
+    while (i < 5 && spent < 200_000_000L) {
+      val t0 = System.nanoTime()
+      var runs = 0
+      var t = 0L
+      while (t < 1_000_000L) { f; runs += 1; t = System.nanoTime() - t0 }
+      best = math.min(best, t.toDouble / runs)
       spent += t
       i += 1
     }

@@ -22,8 +22,8 @@ object Main {
 
   private val experiments: Seq[(String, Seq[String] => Unit)] = Seq(
     "table6" -> (_ => println(CostEfficiencyExp.table6Table(CostEfficiencyExp.table6()))),
-    "fig9" -> (_ => costPanels("global")),
-    "fig10" -> (_ => costPanels("local")),
+    "fig9" -> (_ => costPanels(CostEfficiencyExp.Global)),
+    "fig10" -> (_ => costPanels(CostEfficiencyExp.Local)),
     "fig11" -> (_ => println(BMTreeExp.fig11Table(BMTreeExp.varyCardinality()))),
     "fig12" -> (_ => println(BMTreeExp.fig12Table(BMTreeExp.varyQueries()))),
     "fig13" -> { _ =>
@@ -40,9 +40,9 @@ object Main {
 
   val Ids: Seq[String] = experiments.map(_._1) :+ "all"
 
-  private def costPanels(which: String): Unit =
+  private def costPanels(model: CostEfficiencyExp.Model): Unit =
     for (p <- CostEfficiencyExp.Panels)
-      println(CostEfficiencyExp.sweepTable(which, p, CostEfficiencyExp.sweep(which, p)))
+      println(CostEfficiencyExp.sweepTable(model, p, CostEfficiencyExp.sweep(model, p)))
 
   private def layout(args: Seq[String]): Unit = {
     val dist = args.headOption.getOrElse("OSM")

@@ -98,6 +98,15 @@ class GlobalCostSpec extends AnyFunSuite {
       GlobalCost.Estimator(Seq(Rect(Array(0L), Array(1L))), 2, 3))
   }
 
+  test("GC and NGC refuse a query off the grid instead of aliasing it") {
+    // 257 cells in x at ℓ=8: read bit by bit, x=256 aliases to 0 and GC = 1.
+    val wide = Rect.of2d(0, 256, 0, 0)
+    val e = intercept[IllegalArgumentException](GlobalCost.Estimator(Seq(wide), 2, 8))
+    assert(e.getMessage.contains("grid"), e.getMessage)
+    intercept[IllegalArgumentException](GlobalCost.naive(Seq(wide), BMC.zOrder(2, 8)))
+    intercept[IllegalArgumentException](GlobalCost.Estimator(Seq(Rect.of2d(-3, 2, 0, 0)), 2, 8))
+  }
+
   test("non-uniform bits per dimension: closed form equals naive") {
     val bitsPerDim = Array(4, 2)
     val rng = new Random(17)

@@ -164,6 +164,8 @@ class LocalCostSpec extends AnyFunSuite {
       val rng = new Random(d)
       val qs = Array.fill(12)(randomRect(d, l, rng)).toSeq
       val tables = LocalCost.PatternTables(qs, d, l)
+      val ref = TestRefs.patternTables(qs, d, Array.fill(d)(l))
+      for (b <- 0 until d) assert(java.util.Arrays.equals(tables.tables(b), ref(b)), s"Table^$b")
       for (_ <- 1 to 25) {
         val bmc = BMC.random(d, l, rng)
         val expected = qs.map(LocalCost.edgesViaPatterns(_, bmc)).sum
@@ -239,6 +241,14 @@ class LocalCostSpec extends AnyFunSuite {
     assert(e.getMessage.contains("d=64"), e.getMessage)
   }
 
+  test("tables refuse a query off the grid instead of aliasing it") {
+    // At ℓ=8 the tables would give [-3,2]×[0,0] a negative local cost.
+    val e = intercept[IllegalArgumentException](LocalCost.PatternTables(Seq(Rect.of2d(-3, 2, 0, 0)), 2, 8))
+    assert(e.getMessage.contains("grid"), e.getMessage)
+    intercept[IllegalArgumentException](LocalCost.PatternTables(Seq(Rect.of2d(0, 256, 0, 0)), 2, 8))
+    intercept[IllegalArgumentException](new LocalCost.PatternTables(Seq(Rect.of2d(0, 7, 0, 2)), 2, Array(3, 1)))
+  }
+
   test("non-uniform bits per dimension: tables equal per-query counting") {
     val bitsPerDim = Array(3, 1)
     val rng = new Random(15)
@@ -248,6 +258,8 @@ class LocalCostSpec extends AnyFunSuite {
       Rect.of2d(x0, x1, y0, y1)
     }
     val tables = new LocalCost.PatternTables(qs, 2, bitsPerDim)
+    val ref = TestRefs.patternTables(qs, 2, bitsPerDim)
+    for (b <- 0 until 2) assert(java.util.Arrays.equals(tables.tables(b), ref(b)), s"Table^$b")
     val curves = Seq(BMC(Seq(0, 0, 0, 1), 2), BMC(Seq(1, 0, 0, 0), 2),
                      BMC(Seq(0, 1, 0, 0), 2), BMC(Seq(0, 0, 1, 0), 2))
     for (bmc <- curves) {

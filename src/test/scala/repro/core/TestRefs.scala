@@ -53,6 +53,22 @@ object TestRefs {
     (0L to (e >> k)).count(a => a * p >= s && a * p + p - 1 <= e).toLong
   }
 
+  /** Alg. 1's pattern tables by its formula, vertex by vertex:
+    * `T_b[c] = Σ_q N_q(R_b^{c_b+1}) · Π_{m≠b} N_q(D_m^{c_m})`, 0 where
+    * c_b = ℓ_b, with counts by enumeration and the vertex c at index
+    * `Σ_m c_m·Π_{m'<m}(ℓ_m'+1)`.
+    */
+  def patternTables(qs: Seq[Rect], d: Int, bits: Array[Int]): Array[Array[Long]] =
+    Array.tabulate(d, bits.map(_ + 1).product) { (b, v) =>
+      val c = bits.scanLeft(v)((rest, l) => rest / (l + 1)).zip(bits).map { case (r, l) => r % (l + 1) }
+      if (c(b) == bits(b)) 0L
+      else qs.map { q =>
+        (0 until d).map { m =>
+          if (m == b) exactRiseCount(q.lo(m), q.hi(m), c(m) + 1) else exactDropCount(q.lo(m), q.hi(m), c(m))
+        }.product
+      }.sum
+    }
+
   /** Point indices ordered by `(values(i), i)` with a boxed comparison sort. */
   def stableOrder(values: Array[Long]): Array[Int] = {
     val boxed = Array.range(0, values.length).map(Integer.valueOf)

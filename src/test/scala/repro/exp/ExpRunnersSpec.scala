@@ -21,19 +21,19 @@ class ExpRunnersSpec extends SparkSpec {
   }
 
   test("global efficiency row: GC beats NGC at n=64") {
-    val row = CostEfficiencyExp.global(n = 64, m = 20)
+    val row = CostEfficiencyExp.measure(CostEfficiencyExp.Global, n = 64, m = 20)
     assert(row.fastNanosPerEval > 0 && row.naiveNanosPerEval > 0)
     assert(row.gain > 1.0, s"expected speedup, got ${row.gain}")
   }
 
   test("local efficiency row: LC beats NLC at n=16") {
-    val row = CostEfficiencyExp.local(n = 16, m = 20, mNaive = 1)
+    val row = CostEfficiencyExp.measure(CostEfficiencyExp.Local, n = 16, m = 20)
     assert(row.gain > 10.0, s"expected large speedup, got ${row.gain}")
   }
 
   test("GC evaluation time is roughly constant in n (Fig. 9a claim)") {
-    val small = CostEfficiencyExp.global(n = 4, m = 30)
-    val large = CostEfficiencyExp.global(n = 256, m = 30)
+    val small = CostEfficiencyExp.measure(CostEfficiencyExp.Global, n = 4, m = 30)
+    val large = CostEfficiencyExp.measure(CostEfficiencyExp.Global, n = 256, m = 30)
     // Naive grows ~64x; fast must grow far less (allow generous jitter).
     val naiveGrowth = large.naiveNanosPerEval / small.naiveNanosPerEval
     val fastGrowth = large.fastNanosPerEval / math.max(1.0, small.fastNanosPerEval)
