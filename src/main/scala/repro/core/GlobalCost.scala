@@ -5,32 +5,52 @@ package repro.core
   * The global cost of a query is the curve-value span between its corner
   * cells, `F_σ(p_e) − F_σ(p_s) + 1` (Definition 2, Eq. 5). Costs are exact
   * `BigInt`s: with many queries and large bit budgets the sum exceeds a
-  * `Long`.
+  * `Long`. Both GC and NGC sum in the two `Long` words of [[Sum]] and build
+  * one `BigInt` per evaluation.
   */
 object GlobalCost {
+
+  /** The one accumulator of GC and NGC: `n + Σ a·2^r` over terms added at
+    * ranks `r < L`, exact in two `Long` words.
+    *
+    * Why two words suffice: `BMC` refuses L > 62, and the coefficients that
+    * one evaluation adds at a rank total at most n ≤ `Int.MaxValue` in
+    * magnitude (GC adds A[j][k] once, NGC adds n bit differences in
+    * {−1, 0, 1}), and so does every partial sum of them. `lo` takes a·2^r for
+    * r < 32 and `hi` takes a·2^(r−32) for r ≥ 32, so at every step
+    * |lo + n| ≤ n·2^32 < 2^63 and |hi| < n·2^30: neither word can overflow,
+    * in any order of the terms, and the cost is `hi·2^32 + lo + n`.
+    */
+  private final class Sum {
+    private var lo = 0L
+    private var hi = 0L
+
+    def add(a: Long, r: Int): Unit = if (r < 32) lo += a << r else hi += a << (r - 32)
+
+    def result(n: Int): BigInt = (BigInt(hi) << 32) + (lo + n)
+  }
 
   /** NGC: the naive baseline — Eq. 5 evaluated per query, `O(n·d·ℓ)` per
     * candidate BMC. A query off the BMC's grid is refused.
     */
   def naive(queries: Seq[Rect], bmc: BMC): BigInt = {
-    var total = BigInt(0)
+    val sum = new Sum
+    var n = 0
     for (q <- queries) {
       q.requireOnGrid(bmc.bitsPerDim)
-      var span = BigInt(0)
       var j = 0
       while (j < bmc.d) {
         var k = 0
         val lj = bmc.bitsPerDim(j)
         while (k < lj) {
-          val diff = ((q.hi(j) >>> k) & 1L) - ((q.lo(j) >>> k) & 1L)
-          if (diff != 0) span += BigInt(diff) << bmc.ranks(j)(k)
+          sum.add(((q.hi(j) >>> k) & 1L) - ((q.lo(j) >>> k) & 1L), bmc.ranks(j)(k))
           k += 1
         }
         j += 1
       }
-      total += span + 1
+      n += 1
     }
-    total
+    sum.result(n)
   }
 
   /** GC: the closed-form estimator (Eq. 6).
@@ -72,14 +92,13 @@ object GlobalCost {
     def cost(bmc: BMC): BigInt = {
       require(bmc.d == d && java.util.Arrays.equals(bmc.bitsPerDim, bitsPerDim),
         "BMC shape does not match the estimator's (d, ℓ)")
-      var total = BigInt(n)
+      val sum = new Sum
       var r = 0
       while (r < bmc.length) {
-        val a = A(bmc.dims(r))(bmc.bitOfDim(r))
-        if (a != 0) total += BigInt(a) << r
+        sum.add(A(bmc.dims(r))(bmc.bitOfDim(r)), r)
         r += 1
       }
-      total
+      sum.result(n)
     }
   }
 

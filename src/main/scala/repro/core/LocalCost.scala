@@ -133,14 +133,14 @@ object LocalCost {
     private val stride: Array[Int] = bitsPerDim.scanLeft(1)((acc, l) => acc * (l + 1))
 
     /** Σ_q V(q), BMC-independent (computed in the same O(n) scan). */
-    val totalVolume: BigInt = {
+    val totalVolume: Long = {
       var sum = 0L
       try for (q <- queries) sum = Math.addExact(sum, q.volume)
       catch {
         case _: ArithmeticException => throw new IllegalArgumentException(
           s"workload volume ΣV(q) exceeds Long.MaxValue; its pattern tables ($shape) would overflow")
       }
-      BigInt(sum)
+      sum
     }
 
     /** Number of queries in the workload. */
@@ -209,8 +209,10 @@ object LocalCost {
       e
     }
 
-    /** Total local cost `Σ_q S_σ(q) = ΣV − ΣE_σ` (Eq. 10) — O(1) per BMC. */
-    def cost(bmc: BMC): BigInt = totalVolume - BigInt(edges(bmc))
+    /** Total local cost `Σ_q S_σ(q) = ΣV − ΣE_σ` (Eq. 10) — O(1) per BMC.
+      * Exact in `Long`, since 0 ≤ ΣE_σ ≤ ΣV ≤ `Long.MaxValue`.
+      */
+    def cost(bmc: BMC): BigInt = BigInt(totalVolume - edges(bmc))
   }
 
   object PatternTables {

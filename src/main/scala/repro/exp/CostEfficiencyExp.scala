@@ -96,11 +96,12 @@ object CostEfficiencyExp {
     val naiveCands = if (model.naiveAll) cands else cands.take(1)
     val initNanos = TableFmt.bestOf(model.init(qs, d, bits))
     val cost = model.init(qs, d, bits)
-    // Checksum accumulation keeps the JIT from eliding the work.
-    var sink = BigInt(0)
-    val fast = TableFmt.bestOf(cands.foreach(c => sink += cost(c)))
-    val naive = TableFmt.bestOf(naiveCands.foreach(c => sink += model.naive(qs, c)))
-    require(sink != BigInt(-1)) // consume the sink
+    // A Long checksum of every result's bit length keeps the JIT from
+    // eliding the work without adding a BigInt sum to each timed evaluation.
+    var sink = 0L
+    val fast = TableFmt.bestOf(cands.foreach(c => sink += cost(c).bitLength))
+    val naive = TableFmt.bestOf(naiveCands.foreach(c => sink += model.naive(qs, c).bitLength))
+    require(sink > 0) // consume the sink: every cost is at least n ≥ 1
     Row(s"n=$n,δ=$delta,ℓ=$bits,d=$d", initNanos, fast / m, naive / naiveCands.length)
   }
 
@@ -113,10 +114,10 @@ object CostEfficiencyExp {
 
   def table6Table(rows: Seq[(Int, Row, Row)]): String =
     TableFmt.render("Table 6: initialization costs of GC and LC (varying n)",
-      Seq("n", "IGC (ms)", "NGC (ms)", "ILC (ms)", "NLC (s)"),
+      Seq("n", "IGC (µs)", "NGC (µs)", "ILC (µs)", "NLC (s)"),
       rows.map { case (n, g, l) =>
-        Seq(n.toString, TableFmt.ms(g.initNanos), TableFmt.ms(g.naiveNanosPerEval),
-          TableFmt.ms(l.initNanos), TableFmt.secs(l.naiveNanosPerEval))
+        Seq(n.toString, TableFmt.micros(g.initNanos), TableFmt.micros(g.naiveNanosPerEval),
+          TableFmt.micros(l.initNanos), TableFmt.secs(l.naiveNanosPerEval))
       })
 
   /** The panels of Figs. 9 and 10: a–d sweep n, δ, ℓ and d. */

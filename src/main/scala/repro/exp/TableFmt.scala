@@ -15,11 +15,13 @@ object TableFmt {
     (s"\n== $caption ==" +: line(headers) +: sep +: rows.map(line)).mkString("\n") + "\n"
   }
 
-  /** Format a duration in the unit that keeps 3 significant digits. */
+  /** A duration in nanoseconds as milliseconds with three decimals. */
   def ms(nanos: Double): String = f"${nanos / 1e6}%.3f"
 
+  /** A duration in nanoseconds as microseconds with two decimals. */
   def micros(nanos: Double): String = f"${nanos / 1e3}%.2f"
 
+  /** A duration in nanoseconds as seconds with three decimals. */
   def secs(nanos: Double): String = f"${nanos / 1e9}%.3f"
 
   /** Time a thunk, returning (result, nanos). */
@@ -33,15 +35,19 @@ object TableFmt {
     * experiments: after a 60 ms warm-up of `f`, each reading repeats `f`
     * until it lasts 1 ms and divides by the runs, and the result is the
     * best of 5 readings, stopping early once they total 0.2 s. A reading
-    * of a few µs would be at the mercy of one pause; a costly `f` runs
-    * twice, once to warm up and once timed.
+    * of a few µs would be at the mercy of one pause. A first run that
+    * alone outlasts the warm-up is its own warm-up and counts as the
+    * first reading, so a costly `f` is not run once for nothing.
     */
   def bestOf[A](f: => A): Double = {
-    val warm = System.nanoTime() + 60_000_000L
-    while (System.nanoTime() < warm) f
+    val start = System.nanoTime()
+    f
+    val first = System.nanoTime() - start
     var best = Double.MaxValue
     var spent = 0L
     var i = 0
+    if (first >= 60_000_000L) { best = first.toDouble; spent = first; i = 1 }
+    else while (System.nanoTime() < start + 60_000_000L) f
     while (i < 5 && spent < 200_000_000L) {
       val t0 = System.nanoTime()
       var runs = 0

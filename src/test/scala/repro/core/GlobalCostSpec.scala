@@ -130,6 +130,52 @@ class GlobalCostSpec extends AnyFunSuite {
     val est = GlobalCost.Estimator(qs, 2, l)
     val c = est.cost(BMC.zOrder(2, l))
     assert(c == GlobalCost.naive(qs, BMC.zOrder(2, l)))
-    assert(c > BigInt(Long.MaxValue) / 25) // 100·(4^31−1)+100 ≈ 2^66.5
+    // 100·(4^31−1)+100 = 100·4^31 ≈ 2^68.6
+    assert(c == BigInt(100) * BigInt(4).pow(31))
+  }
+
+  // GC and NGC sum in one two-word accumulator, so GC = NGC alone cannot
+  // show that either is exact: both are checked against Corollary 1's span
+  // sum in BigInt, up to L = 62 and with negative A entries.
+  for (bits <- Seq(Array(5), Array(62), Array(4, 2), Array(31, 31), Array(2, 3, 5),
+                   Array(20, 21, 21), Array(1, 2, 3, 4), Array(15, 15, 16, 16))) {
+    test(s"GC and NGC equal the Corollary 1 span sum (ℓ=${bits.mkString(",")})") {
+      val rng = new Random(bits.sum * 31L + bits.length)
+      val d = bits.length
+      def coord(l: Int): Long = rng.nextLong() >>> (64 - l)
+      // 16 random boxes, then 24 that step from an odd lo to hi = lo + 1
+      // wherever ℓ_j ≥ 2: every such A[j][0] is at most 16 − 24 < 0.
+      val qs = Seq.fill(16) {
+        val (a, b) = (bits.map(coord), bits.map(coord))
+        Rect(a.zip(b).map(p => math.min(p._1, p._2)), a.zip(b).map(p => math.max(p._1, p._2)))
+      } ++ Seq.fill(24) {
+        val lo = bits.map(l => if (l < 2) 0L else coord(l) % ((1L << l) - 2) | 1L)
+        Rect(lo, lo.map(_ + 1))
+      }
+      val est = new GlobalCost.Estimator(qs, d, bits)
+      assert(est.A.exists(_(0) < 0), "the workload should have negative A entries")
+      val dims = bits.indices.flatMap(j => Seq.fill(bits(j))(j))
+      val shuffler = new scala.util.Random(rng.nextLong())
+      for (_ <- 1 to 20) {
+        val bmc = BMC(shuffler.shuffle(dims), d)
+        val ref = qs.map(span(_, bmc)).sum
+        assert(est.cost(bmc) == ref, bmc.toString)
+        assert(GlobalCost.naive(qs, bmc) == ref, bmc.toString)
+      }
+    }
+  }
+
+  test("2^16 full-grid queries at L = 62 cost exactly n·2^62 under GC and NGC") {
+    val n = 1 << 16
+    for (bits <- Seq(Array(31, 31), Array(20, 21, 21))) {
+      val q = Rect(bits.map(_ => 0L), bits.map(l => (1L << l) - 1))
+      val qs = Seq.fill(n)(q)
+      val est = new GlobalCost.Estimator(qs, bits.length, bits)
+      val dims = bits.indices.flatMap(j => Seq.fill(bits(j))(j))
+      for (bmc <- Seq(BMC(dims, bits.length), BMC(dims.reverse, bits.length))) {
+        assert(est.cost(bmc) == BigInt(n) << 62, bmc.toString)
+        assert(GlobalCost.naive(qs, bmc) == BigInt(n) << 62, bmc.toString)
+      }
+    }
   }
 }

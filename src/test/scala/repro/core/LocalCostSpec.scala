@@ -228,6 +228,21 @@ class LocalCostSpec extends AnyFunSuite {
     assert(tables.cost(BMC.zOrder(3, 20)) == BigInt(511))
   }
 
+  test("LC = ΣV − E stays exact at ΣV = Long.MaxValue") {
+    // Queries of 2^k cells, k = 0…62, at the origin: x spans 2^⌈k/2⌉ and
+    // y 2^⌊k/2⌋, so ΣV = 2^63 − 1 and under Z-order each is one section.
+    val qs = (0 to 62).map(k => Rect.of2d(0, (1L << ((k + 1) / 2)) - 1, 0, (1L << (k / 2)) - 1))
+    val tables = LocalCost.PatternTables(qs, 2, 31)
+    assert(tables.totalVolume == Long.MaxValue)
+    assert(tables.edges(BMC.zOrder(2, 31)) == Long.MaxValue - 63)
+    assert(tables.cost(BMC.zOrder(2, 31)) == BigInt(63))
+    val rng = new Random(16)
+    for (_ <- 1 to 10) {
+      val bmc = BMC.random(2, 31, rng)
+      assert(tables.cost(bmc) == qs.map(q => BigInt(LocalCost.sections(q, bmc))).sum, bmc.toString)
+    }
+  }
+
   test("tables refuse a d=8, ℓ=7 shape before allocating 1 GiB") {
     val q = Rect(Array.fill(8)(0L), Array.fill(8)(1L))
     val e = intercept[IllegalArgumentException](LocalCost.PatternTables(Seq(q), 8, 7))

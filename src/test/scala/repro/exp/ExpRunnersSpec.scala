@@ -20,6 +20,13 @@ class ExpRunnersSpec extends SparkSpec {
     assert(v == 42 && t >= 5_000_000L)
   }
 
+  test("TableFmt.bestOf counts a first run longer than the warm-up as a reading") {
+    // One 250 ms run outlasts both the 60 ms warm-up and the 0.2 s budget.
+    var calls = 0
+    val nanos = TableFmt.bestOf { calls += 1; Thread.sleep(250) }
+    assert(calls == 1 && nanos >= 250e6, s"$calls calls, $nanos ns")
+  }
+
   test("global efficiency row: GC beats NGC at n=64") {
     val row = CostEfficiencyExp.measure(CostEfficiencyExp.Global, n = 64, m = 20)
     assert(row.fastNanosPerEval > 0 && row.naiveNanosPerEval > 0)
