@@ -53,17 +53,6 @@ final class BMC private (val dims: Array[Int], val d: Int) extends SpaceFillingC
     out
   }
 
-  /** `ranks(i)(j)` = γ_i^(j+1): the rank of bit j of dimension i in σ. */
-  val ranks: Array[Array[Int]] = {
-    val out = Array.tabulate(d)(i => new Array[Int](bitsPerDim(i)))
-    var r = 0
-    while (r < length) {
-      out(dims(r))(bitOfDim(r)) = r
-      r += 1
-    }
-    out
-  }
-
   override def value(p: Array[Long]): Long = {
     require(p.length == d, s"point has ${p.length} dims, curve has $d")
     var v = 0L
@@ -73,17 +62,6 @@ final class BMC private (val dims: Array[Int], val d: Int) extends SpaceFillingC
       r += 1
     }
     v
-  }
-
-  /** Inverse of [[value]]: the grid cell whose curve value is `v`. */
-  def inverse(v: Long): Array[Long] = {
-    val p = new Array[Long](d)
-    var r = 0
-    while (r < length) {
-      p(dims(r)) |= ((v >>> r) & 1L) << bitOfDim(r)
-      r += 1
-    }
-    p
   }
 
   /** Swap the bits at ranks `a` and `a+1` (the LBMC action, Section 5).
@@ -112,7 +90,8 @@ final class BMC private (val dims: Array[Int], val d: Int) extends SpaceFillingC
 }
 
 object BMC {
-  private val Letters = "XYZWVUTS"
+  /** The names of dimensions 0…7, as σ strings print them. */
+  private[core] val Letters = "XYZWVUTS"
 
   private[core] def letter(dim: Int): Char =
     if (dim < Letters.length) Letters(dim) else ('A' + dim).toChar
@@ -125,17 +104,6 @@ object BMC {
     // A dimension MAY own zero bits: BMTree sub-spaces exhaust dimensions
     // unevenly. Named full-grid curves always assign ≥ 1 bit per dimension.
     new BMC(dims.toArray, d)
-  }
-
-  /** Parse "YXYX"-style strings (most-significant bit first, X=dim 0). */
-  def fromString(s: String): BMC = {
-    val ids = s.toUpperCase.map { c =>
-      val i = Letters.indexOf(c)
-      require(i >= 0, s"unknown dimension letter '$c'")
-      i
-    }
-    val d = ids.max + 1
-    apply(ids.reverse, d)
   }
 
   /** Z-order curve: dimensions interleave round-robin; for d=2, ℓ=2 this
@@ -157,16 +125,5 @@ object BMC {
   def random(d: Int, bits: Int, rng: java.util.Random): BMC = {
     val ids = new scala.util.Random(rng).shuffle((0 until d).flatMap(i => Seq.fill(bits)(i)).toVector)
     apply(ids, d)
-  }
-
-  /** All valid BMCs for small (d, bits) — exhaustive baselines in tests. */
-  def all(d: Int, bits: Int): Seq[BMC] = {
-    def perms(remaining: Array[Int], acc: List[Int]): Seq[List[Int]] =
-      if (remaining.forall(_ == 0)) Seq(acc.reverse)
-      else (0 until d).filter(remaining(_) > 0).flatMap { i =>
-        val r2 = remaining.clone(); r2(i) -= 1
-        perms(r2, i :: acc)
-      }
-    perms(Array.fill(d)(bits), Nil).map(apply(_, d))
   }
 }

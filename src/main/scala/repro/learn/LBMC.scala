@@ -39,7 +39,7 @@ final class LBMC(cost: WorkloadCost, cfg: LBMCConfig = LBMCConfig()) {
   private val nActions = L - 1
 
   /** φ(σ): one-hot encoding of the dimension owning each rank. */
-  def encode(sigma: BMC): Array[Double] = {
+  private[learn] def encode(sigma: BMC): Array[Double] = {
     val x = new Array[Double](stateSize)
     var r = 0
     while (r < L) { x(r * d + sigma.dims(r)) = 1.0; r += 1 }

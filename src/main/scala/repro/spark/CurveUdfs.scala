@@ -1,7 +1,6 @@
 package repro.spark
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.expressions.UserDefinedFunction
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions.udf
 import repro.core.SpaceFillingCurve
 
@@ -10,22 +9,12 @@ import repro.core.SpaceFillingCurve
   */
 object CurveUdfs {
 
-  /** 2-D curve value UDF over quantized cell coordinates. */
-  def curveValue2d(curve: SpaceFillingCurve): UserDefinedFunction = {
+  /** Append the curve-value column `sfc` of a 2-D curve, computed by a UDF
+    * from the quantized `xq`/`yq` cell columns.
+    */
+  def withCurveValue(df: DataFrame, curve: SpaceFillingCurve): DataFrame = {
     require(curve.d == 2, s"curve is ${curve.d}-dimensional, expected 2")
-    udf((x: Long, y: Long) => curve.value(Array(x, y)))
+    val value = udf((x: Long, y: Long) => curve.value(Array(x, y)))
+    df.withColumn("sfc", value(df("xq"), df("yq")))
   }
-
-  /** Append the curve-value column `sfc` computed from the `xq`/`yq` cell
-    * columns.
-    */
-  def withCurveValue(df: DataFrame, curve: SpaceFillingCurve): DataFrame =
-    df.withColumn("sfc", curveValue2d(curve)(df("xq"), df("yq")))
-
-  /** Register `name(xq, yq)` as a SQL function computing the curve value,
-    * so Spark SQL statements (e.g. `ORDER BY sfc_value(xq, yq)` or a
-    * `CREATE TABLE ... AS SELECT`) can use the chosen curve directly.
-    */
-  def registerSql(spark: SparkSession, name: String, curve: SpaceFillingCurve): Unit =
-    spark.udf.register(name, curveValue2d(curve))
 }

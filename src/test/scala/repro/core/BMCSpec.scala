@@ -7,20 +7,20 @@ import org.scalatest.funsuite.AnyFunSuite
 class BMCSpec extends AnyFunSuite {
 
   test("fromString/toString round-trip, MSB first") {
-    val bmc = BMC.fromString("YXYX")
+    val bmc = TestRefs.fromString("YXYX")
     assert(bmc.toString == "YXYX")
     assert(bmc.d == 2)
     assert(bmc.bitsPerDim.toSeq == Seq(2, 2))
   }
 
   test("dims are stored LSB-first") {
-    val bmc = BMC.fromString("YXXY")
+    val bmc = TestRefs.fromString("YXXY")
     // Rank 0 (LSB) is the rightmost letter Y.
     assert(bmc.dims.toSeq == Seq(1, 0, 0, 1))
   }
 
   test("paper Figure 3: F_XYZXYZXYZ(2,1,7)") {
-    val bmc = BMC.fromString("XYZXYZXYZ")
+    val bmc = TestRefs.fromString("XYZXYZXYZ")
     // x=010, y=001, z=111: x-bit2 at rank 5 → 32; y-bit1 at rank 1 → 2;
     // z bits at ranks 0,3,6 → 1+8+64 = 73. Total 107.
     assert(bmc.value(Array(2L, 1L, 7L)) == 107L)
@@ -58,7 +58,7 @@ class BMCSpec extends AnyFunSuite {
   }
 
   test("invalid dimension letters are rejected") {
-    intercept[IllegalArgumentException](BMC.fromString("XQ"))
+    intercept[IllegalArgumentException](TestRefs.fromString("XQ"))
   }
 
   test("empty bit sequences are rejected") {
@@ -77,8 +77,17 @@ class BMCSpec extends AnyFunSuite {
     val rng = new Random(1)
     for (_ <- 1 to 50) {
       val bmc = BMC.random(3, 4, rng)
-      for (i <- 0 until 3; j <- 0 until 3)
-        assert(bmc.ranks(i)(j) < bmc.ranks(i)(j + 1), s"$bmc dim $i bit $j")
+      for (i <- 0 until 3) {
+        // γ_i^(j+1): the cell with only bit j of dimension i set maps to 2^γ.
+        val gammas = (0 until 4).map { j =>
+          val p = new Array[Long](3)
+          p(i) = 1L << j
+          val v = bmc.value(p)
+          assert(java.lang.Long.bitCount(v) == 1, s"$bmc dim $i bit $j maps to $v")
+          java.lang.Long.numberOfTrailingZeros(v)
+        }
+        assert(gammas == gammas.sorted.distinct, s"$bmc dim $i ranks $gammas")
+      }
     }
   }
 
@@ -94,7 +103,7 @@ class BMCSpec extends AnyFunSuite {
         val v = bmc.value(p)
         assert(v >= 0 && v < (1L << (d * l)))
         assert(seen.add(v), s"duplicate value $v for ${p.mkString(",")}")
-        assert(bmc.inverse(v).toSeq == p.toSeq)
+        assert(TestRefs.inverse(bmc, v).toSeq == p.toSeq)
       }
       assert(seen.size == math.pow(k.toDouble, d).toLong)
     }
@@ -119,25 +128,25 @@ class BMCSpec extends AnyFunSuite {
   }
 
   test("swap exchanges adjacent different-dimension bits") {
-    val bmc = BMC.fromString("YXYX") // dims LSB-first: X,Y,X,Y
+    val bmc = TestRefs.fromString("YXYX") // dims LSB-first: X,Y,X,Y
     val swapped = bmc.swap(0)
     assert(swapped.toString == "YXXY")
   }
 
   test("swap of same-dimension bits is the identity") {
-    val bmc = BMC.fromString("YYXX") // dims LSB-first: X,X,Y,Y
+    val bmc = TestRefs.fromString("YYXX") // dims LSB-first: X,X,Y,Y
     assert(bmc.swap(0) eq bmc)
     assert(bmc.swap(2) eq bmc)
   }
 
   test("swap out of range is rejected") {
-    val bmc = BMC.fromString("YX")
+    val bmc = TestRefs.fromString("YX")
     intercept[IllegalArgumentException](bmc.swap(1))
     intercept[IllegalArgumentException](bmc.swap(-1))
   }
 
   test("swap changes curve values consistently") {
-    val bmc = BMC.fromString("YXYX")
+    val bmc = TestRefs.fromString("YXYX")
     val sw = bmc.swap(1) // ranks 1,2: Y,X -> X,Y => YYXX? check via values
     val full = Rect.of2d(0, 3, 0, 3)
     // Both are bijections over the grid.
@@ -146,13 +155,13 @@ class BMCSpec extends AnyFunSuite {
   }
 
   test("equals/hashCode by structure") {
-    assert(BMC.fromString("YXYX") == BMC.zOrder(2, 2))
-    assert(BMC.fromString("YXYX").hashCode == BMC.zOrder(2, 2).hashCode)
-    assert(BMC.fromString("YXXY") != BMC.zOrder(2, 2))
+    assert(TestRefs.fromString("YXYX") == BMC.zOrder(2, 2))
+    assert(TestRefs.fromString("YXYX").hashCode == BMC.zOrder(2, 2).hashCode)
+    assert(TestRefs.fromString("YXXY") != BMC.zOrder(2, 2))
   }
 
   test("all(d=2, l=2) enumerates C(4,2)=6 curves") {
-    val all = BMC.all(2, 2)
+    val all = TestRefs.allBMCs(2, 2)
     assert(all.size == 6)
     assert(all.distinct.size == 6)
     assert(all.contains(BMC.zOrder(2, 2)))
@@ -160,11 +169,11 @@ class BMCSpec extends AnyFunSuite {
   }
 
   test("all(d=3, l=1) enumerates 3! = 6 curves") {
-    assert(BMC.all(3, 1).size == 6)
+    assert(TestRefs.allBMCs(3, 1).size == 6)
   }
 
   test("all(d=2, l=3) enumerates C(6,3)=20 curves") {
-    assert(BMC.all(2, 3).size == 20)
+    assert(TestRefs.allBMCs(2, 3).size == 20)
   }
 
   test("random BMCs are valid and uniform-ish over dims") {

@@ -51,8 +51,8 @@ class ClusteredIndexSpec extends AnyFunSuite {
     // curve that scatters it.
     val pts = (0L until 64L).map(x => Array(x, 3L)).toArray
     val rowQuery = Rect.of2d(0, 63, 3, 3)
-    val contiguous = BMC.fromString("YYYYYYXXXXXX") // x varies fastest
-    val scattered = BMC.fromString("XXXXXXYYYYYY") // y varies fastest
+    val contiguous = TestRefs.fromString("YYYYYYXXXXXX") // x varies fastest
+    val scattered = TestRefs.fromString("XXXXXXYYYYYY") // y varies fastest
     val a = ClusteredIndex.build(pts, contiguous, 8).blockAccesses(rowQuery)
     val b = ClusteredIndex.build(pts, scattered, 8).blockAccesses(rowQuery)
     assert(a == 8) // 64 points / 8 per block, all contiguous

@@ -16,14 +16,14 @@ class GlobalCostSpec extends AnyFunSuite {
   }
 
   test("naive global cost sums spans over the workload") {
-    val bmc = BMC.fromString("YXXYXY")
+    val bmc = TestRefs.fromString("YXXYXY")
     val qs = Seq(Rect.of2d(0, 1, 0, 1), Rect.of2d(2, 5, 1, 7), Rect.of2d(4, 4, 3, 3))
     assert(GlobalCost.naive(qs, bmc) == qs.map(span(_, bmc)).sum)
   }
 
   test("a single-cell query has global cost 1 under every BMC") {
     val q = Rect.of2d(5, 5, 3, 3)
-    for (bmc <- BMC.all(2, 3))
+    for (bmc <- TestRefs.allBMCs(2, 3))
       assert(GlobalCost.naive(Seq(q), bmc) == BigInt(1), bmc.toString)
   }
 
@@ -53,7 +53,7 @@ class GlobalCostSpec extends AnyFunSuite {
   test("closed form equals naive for all 20 BMCs at d=2, l=3") {
     val qs = Workloads.randomRects(2, 16, 8, 3, 99)
     val est = GlobalCost.Estimator(qs.toSeq, 2, 3)
-    for (bmc <- BMC.all(2, 3))
+    for (bmc <- TestRefs.allBMCs(2, 3))
       assert(est.cost(bmc) == GlobalCost.naive(qs.toSeq, bmc), bmc.toString)
   }
 
@@ -77,8 +77,8 @@ class GlobalCostSpec extends AnyFunSuite {
     // A query spanning all of y but one cell of x: placing y's bits high
     // makes the span huge; placing them low keeps it small.
     val q = Rect.of2d(3, 3, 0, 7)
-    val yLow = BMC.fromString("XXXYYY")
-    val yHigh = BMC.fromString("YYYXXX")
+    val yLow = TestRefs.fromString("XXXYYY")
+    val yHigh = TestRefs.fromString("YYYXXX")
     assert(GlobalCost.naive(Seq(q), yLow) < GlobalCost.naive(Seq(q), yHigh))
   }
 

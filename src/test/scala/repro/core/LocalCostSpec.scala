@@ -63,7 +63,7 @@ class LocalCostSpec extends AnyFunSuite {
   // ---------- directed edges: Eq. 9 vs exhaustive enumeration ----------
 
   test("paper Section 4.2.1 worked example: q=[0,4]×[2,3], σ=XYXYXY") {
-    val bmc = BMC.fromString("XYXYXY")
+    val bmc = TestRefs.fromString("XYXYXY")
     val q = Rect.of2d(0, 4, 2, 3)
     assert(LocalCost.edgesViaPatterns(q, bmc) == 7)
     assert(LocalCost.sections(q, bmc) == 3) // 10 cells − 7 edges
@@ -73,7 +73,7 @@ class LocalCostSpec extends AnyFunSuite {
   test("Figure 4a: q=[2,3]×[2,5] under XYXYXY has 3 sections, 5 edges") {
     // The figure's q covers 8 cells split into sections [20,23],[36,39],... —
     // verified here against the exhaustive reference.
-    val bmc = BMC.fromString("XYXYXY")
+    val bmc = TestRefs.fromString("XYXYXY")
     val q = Rect.of2d(2, 3, 2, 5)
     assert(q.volume == 8)
     assert(LocalCost.edgesViaPatterns(q, bmc) == TestRefs.exactEdges(q, bmc))
@@ -94,7 +94,7 @@ class LocalCostSpec extends AnyFunSuite {
 
   test("edgesViaPatterns equals exhaustive count for all 20 BMCs (d=2, l=3)") {
     val rng = new Random(42)
-    for (bmc <- BMC.all(2, 3); _ <- 1 to 5) {
+    for (bmc <- TestRefs.allBMCs(2, 3); _ <- 1 to 5) {
       val q = randomRect(2, 3, rng)
       assert(LocalCost.edgesViaPatterns(q, bmc) == TestRefs.exactEdges(q, bmc),
         s"$bmc over ${q.show}")
@@ -114,27 +114,27 @@ class LocalCostSpec extends AnyFunSuite {
 
   test("a full-grid query is a single section under every BMC") {
     val full = Rect.of2d(0, 7, 0, 7)
-    for (bmc <- BMC.all(2, 3))
+    for (bmc <- TestRefs.allBMCs(2, 3))
       assert(LocalCost.sections(full, bmc) == 1, bmc.toString)
   }
 
   test("a single-cell query is a single section under every BMC") {
     val q = Rect.of2d(5, 5, 2, 2)
-    for (bmc <- BMC.all(2, 3))
+    for (bmc <- TestRefs.allBMCs(2, 3))
       assert(LocalCost.sections(q, bmc) == 1, bmc.toString)
   }
 
   test("a 1×k query aligned with the low-bit dimension is one section") {
     // σ=YYYXXX: x varies fastest; a query spanning all x at fixed y is
     // one continuous run.
-    val bmc = BMC.fromString("YYYXXX")
+    val bmc = TestRefs.fromString("YYYXXX")
     val q = Rect.of2d(0, 7, 4, 4)
     assert(LocalCost.sections(q, bmc) == 1)
   }
 
   test("sections differ across BMCs for the same query (Figure 4)") {
     val q = Rect.of2d(0, 4, 2, 3)
-    val counts = BMC.all(2, 3).map(LocalCost.sections(q, _))
+    val counts = TestRefs.allBMCs(2, 3).map(LocalCost.sections(q, _))
     assert(counts.distinct.size > 1, counts.toString)
   }
 
@@ -200,7 +200,7 @@ class LocalCostSpec extends AnyFunSuite {
     val qs = Array.fill(6)(randomRect(2, 3, rng)).toSeq
     val tables = LocalCost.PatternTables(qs, 2, 3)
     val snapshot = tables.tables.map(_.toSeq).toSeq
-    for (bmc <- BMC.all(2, 3)) tables.edges(bmc)
+    for (bmc <- TestRefs.allBMCs(2, 3)) tables.edges(bmc)
     assert(tables.tables.map(_.toSeq).toSeq == snapshot)
   }
 
@@ -289,8 +289,8 @@ class LocalCostSpec extends AnyFunSuite {
     // must give fewer sections than one with y bits high.
     val qs = Seq(Rect.of2d(2, 2, 0, 7), Rect.of2d(5, 5, 0, 7))
     val tables = LocalCost.PatternTables(qs, 2, 3)
-    val yFast = BMC.fromString("XXXYYY")
-    val ySlow = BMC.fromString("YYYXXX")
+    val yFast = TestRefs.fromString("XXXYYY")
+    val ySlow = TestRefs.fromString("YYYXXX")
     assert(tables.cost(yFast) < tables.cost(ySlow))
     assert(tables.cost(yFast) == BigInt(qs.map(TestRefs.exactSections(_, yFast)).sum))
   }

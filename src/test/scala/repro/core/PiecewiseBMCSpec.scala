@@ -8,7 +8,7 @@ class PiecewiseBMCSpec extends AnyFunSuite {
 
   test("a single-leaf piecewise curve equals its BMC") {
     val bmc = BMC.zOrder(2, 3)
-    val pw = PiecewiseBMC.ofBMC(bmc, 3)
+    val pw = new PiecewiseBMC(Tail(bmc), 2, 3)
     Rect.cells(Rect.of2d(0, 7, 0, 7)).foreach { p =>
       assert(pw.value(p) == bmc.value(p), p.mkString(","))
     }

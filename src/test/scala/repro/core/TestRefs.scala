@@ -7,6 +7,34 @@ package repro.core
   */
 object TestRefs {
 
+  /** Parse "YXYX"-style strings (most-significant bit first, X = dim 0). */
+  def fromString(s: String): BMC = {
+    val ids = s.toUpperCase.map { c =>
+      val i = BMC.Letters.indexOf(c)
+      require(i >= 0, s"unknown dimension letter '$c'")
+      i
+    }
+    BMC(ids.reverse, ids.max + 1)
+  }
+
+  /** All valid BMCs with `bits` bits per dimension, for small (d, bits). */
+  def allBMCs(d: Int, bits: Int): Seq[BMC] = {
+    def perms(remaining: Array[Int], acc: List[Int]): Seq[List[Int]] =
+      if (remaining.forall(_ == 0)) Seq(acc.reverse)
+      else (0 until d).filter(remaining(_) > 0).flatMap { i =>
+        val r2 = remaining.clone(); r2(i) -= 1
+        perms(r2, i :: acc)
+      }
+    perms(Array.fill(d)(bits), Nil).map(BMC(_, d))
+  }
+
+  /** Inverse of `bmc.value`: the grid cell whose curve value is `v`. */
+  def inverse(bmc: BMC, v: Long): Array[Long] = {
+    val p = new Array[Long](bmc.d)
+    for (r <- 0 until bmc.length) p(bmc.dims(r)) |= ((v >>> r) & 1L) << bmc.bitOfDim(r)
+    p
+  }
+
   /** All curve values of the cells of `q`, sorted ascending. */
   def sortedValues(q: Rect, curve: SpaceFillingCurve): Array[Long] = {
     val out = Rect.cells(q).map(curve.value).toArray

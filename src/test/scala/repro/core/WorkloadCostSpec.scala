@@ -29,8 +29,8 @@ class WorkloadCostSpec extends AnyFunSuite {
     // stores each needed column contiguously.
     val qs = (0 until 8).map(x => Rect.of2d(x, x, 0, 7))
     val wc = WorkloadCost(qs, 2, 3)
-    val good = BMC.fromString("XXXYYY")
-    val bad = BMC.fromString("YYYXXX")
+    val good = TestRefs.fromString("XXXYYY")
+    val bad = TestRefs.fromString("YYYXXX")
     assert(wc.cost(good) < wc.cost(bad))
   }
 
@@ -46,7 +46,7 @@ class WorkloadCostSpec extends AnyFunSuite {
       Rect.of2d(x0, x0 + 2, y0, math.min(7, y0 + 4))
     }
     val wc = WorkloadCost(qs, 2, l)
-    val ranked = BMC.all(2, l).map { bmc =>
+    val ranked = TestRefs.allBMCs(2, l).map { bmc =>
       val measured = ClusteredIndex.build(pts, bmc, 8).avgBlockAccesses(qs)
       (bmc, wc.cost(bmc), measured)
     }

@@ -22,7 +22,7 @@ class LBMCSpec extends AnyFunSuite {
   test("state encoding is one-hot over (rank, dimension)") {
     val wc = workload(1, 3)
     val lbmc = new LBMC(wc)
-    val sigma = BMC.fromString("XXYYXY")
+    val sigma = TestRefs.fromString("XXYYXY")
     val x = lbmc.encode(sigma)
     assert(x.length == 12)
     assert(x.count(_ == 1.0) == 6)
@@ -32,7 +32,7 @@ class LBMCSpec extends AnyFunSuite {
 
   test("learning finds the exhaustive optimum on the d=2, l=3 space") {
     val wc = workload(2, 3)
-    val exhaustive = BMC.all(2, 3).map(wc.cost).min
+    val exhaustive = TestRefs.allBMCs(2, 3).map(wc.cost).min
     val res = new LBMC(wc, LBMCConfig(episodes = 20, steps = 20, seed = 1))
       .learn(BMC.zOrder(2, 3))
     assert(res.bestCost == exhaustive,
@@ -41,7 +41,7 @@ class LBMCSpec extends AnyFunSuite {
 
   test("learning approaches the exhaustive optimum on the d=2, l=4 space") {
     val wc = workload(3, 4)
-    val exhaustive = BMC.all(2, 4).map(wc.cost).min
+    val exhaustive = TestRefs.allBMCs(2, 4).map(wc.cost).min
     val res = new LBMC(wc, LBMCConfig(episodes = 25, steps = 30, seed = 2))
       .learn(BMC.zOrder(2, 4))
     assert(res.bestCost.doubleValue <= exhaustive.doubleValue * 1.1,

@@ -85,7 +85,12 @@ class LayoutSpec extends SparkSpec {
     val qs = Workloads.squares("NYC", 30, 32, bits, 7)
     val touched = Layout.avgFilesTouched(spark, path, qs)
     val files = Layout.fileStats(spark, path).count()
-    assert(touched >= 0.0 && touched <= files.toDouble)
+    // A query that holds a data point overlaps the box of that point's
+    // file, so it touches at least one file.
+    val points = df.select("xq", "yq").collect().map(r => Array(r.getLong(0), r.getLong(1)))
+    val nonempty = qs.count(q => points.exists(q.contains)).toDouble / qs.length
+    assert(nonempty > 0.0, "the workload should hold data points")
+    assert(touched >= nonempty && touched <= files.toDouble, s"$touched files per query, $nonempty nonempty")
     assert(Layout.avgFilesTouched(spark, path, Array.empty[Rect]) == 0.0, "empty workload")
   }
 

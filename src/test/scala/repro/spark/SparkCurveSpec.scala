@@ -22,7 +22,7 @@ class SparkCurveSpec extends SparkSpec {
   test("curve UDF works for Hilbert and piecewise curves too") {
     val df = SpatialData.dataset(spark, "OSM", 500, 2, bits)
     for (curve <- Seq[SpaceFillingCurve](new Hilbert(2, bits),
-        PiecewiseBMC.ofBMC(BMC.lexicographic(2, bits, 0), bits))) {
+        new PiecewiseBMC(PiecewiseBMC.Tail(BMC.lexicographic(2, bits, 0)), 2, bits))) {
       val rows = CurveUdfs.withCurveValue(df, curve).select("xq", "yq", "sfc").collect()
       rows.foreach { r =>
         assert(r.getLong(2) == curve.value(Array(r.getLong(0), r.getLong(1))))

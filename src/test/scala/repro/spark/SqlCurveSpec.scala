@@ -9,9 +9,15 @@ class SqlCurveSpec extends SparkSpec {
 
   private val bits = 8
 
+  /** Register `name(xq, yq)` as a SQL function computing the value of the
+    * 2-D `curve`, so SQL statements (e.g. `ORDER BY name(xq, yq)`) can use it.
+    */
+  private def registerSql(name: String, curve: SpaceFillingCurve): Unit =
+    spark.udf.register(name, (x: Long, y: Long) => curve.value(Array(x, y)))
+
   test("registered SQL function computes curve values") {
     val curve = BMC.zOrder(2, bits)
-    CurveUdfs.registerSql(spark, "sfc_value", curve)
+    registerSql("sfc_value", curve)
     val df = SpatialData.dataset(spark, "UNI", 1000, 21, bits)
     df.createOrReplaceTempView("pts_sql")
     val rows = spark.sql("SELECT xq, yq, sfc_value(xq, yq) AS sfc FROM pts_sql").collect()
@@ -22,7 +28,7 @@ class SqlCurveSpec extends SparkSpec {
 
   test("SQL ORDER BY the curve function equals DataFrame orderBy the UDF") {
     val curve = new Hilbert(2, bits)
-    CurveUdfs.registerSql(spark, "hc_value", curve)
+    registerSql("hc_value", curve)
     val df = SpatialData.dataset(spark, "OSM", 2000, 22, bits)
     df.createOrReplaceTempView("pts_sql2")
     val viaSql = spark.sql(
