@@ -110,7 +110,7 @@ object BMC {
     * is "YXYX" (x is the least-significant bit, as in the paper's figures).
     */
   def zOrder(d: Int, bits: Int): BMC =
-    apply((0 until d * bits).map(_ % d), d)
+    PiecewiseBMC.interleave(Array.fill(d)(bits))
 
   /** Lexicographic (C-) curve ordered by `major` first: all bits of the
     * major dimension are most significant. For d=2 major=0 this is

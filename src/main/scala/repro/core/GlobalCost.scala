@@ -68,6 +68,7 @@ object GlobalCost {
     * @param bitsPerDim  ℓ_j for each dimension (uniform ℓ in the paper)
     */
   final class Estimator(queries: Seq[Rect], val d: Int, val bitsPerDim: Array[Int]) {
+    require(bitsPerDim.length == d, s"d=$d, ℓ=${bitsPerDim.mkString("(", ",", ")")}: ℓ must have d entries")
     require(queries.nonEmpty, "empty workload")
 
     /** Number of queries n (the `+ n` term of Eq. 6). */

@@ -119,9 +119,10 @@ object LocalCost {
     * refused before anything is allocated.
     */
   final class PatternTables(queries: Seq[Rect], val d: Int, val bitsPerDim: Array[Int]) {
-    require(queries.nonEmpty, "empty workload")
-
     private def shape: String = s"d=$d, ℓ=${bitsPerDim.mkString("(", ",", ")")}"
+
+    require(bitsPerDim.length == d, s"$shape: ℓ must have d entries")
+    require(queries.nonEmpty, "empty workload")
 
     private val cells = bitsPerDim.foldLeft(BigInt(d))((acc, l) => acc * (l + 1))
     require(cells <= PatternTables.MaxCells,

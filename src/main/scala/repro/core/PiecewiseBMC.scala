@@ -66,7 +66,7 @@ object PiecewiseBMC {
     val d = remBits.length
     val dims = scala.collection.mutable.ArrayBuffer.empty[Int]
     var level = 0
-    val maxRem = remBits.max
+    val maxRem = remBits.maxOption.getOrElse(0)
     while (level < maxRem) {
       var i = 0
       while (i < d) {

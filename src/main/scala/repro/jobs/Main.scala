@@ -1,6 +1,7 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
+import repro.core.SpatialGen
 import repro.exp.{BMTreeExp, CostEfficiencyExp, LayoutExp, QueryExp}
 
 /** The one entry point for every experiment: `Main <id>` prints the tables
@@ -44,9 +45,14 @@ object Main {
     for (p <- CostEfficiencyExp.Panels)
       println(CostEfficiencyExp.sweepTable(model, p, CostEfficiencyExp.sweep(model, p)))
 
+  // Arguments are checked before Spark starts: n = 0 would write empty
+  // layouts and report a perfect-looking 0 files and 0 blocks.
   private def layout(args: Seq[String]): Unit = {
     val dist = args.headOption.getOrElse("OSM")
-    val n = args.lift(1).map(_.toInt).getOrElse(200_000)
+    val n = args.lift(1).map(_.toIntOption.getOrElse(0)).getOrElse(200_000)
+    if (args.size > 3 || !SpatialGen.Distributions.contains(dist) || n <= 0)
+      throw new IllegalArgumentException(s"invalid layout arguments '${args.mkString(" ")}'; usage: " +
+        s"layout [dist] [n] [outDir] with dist in ${SpatialGen.Distributions.mkString(", ")} and n a positive Int")
     val out = args.lift(2).getOrElse(
       java.nio.file.Files.createTempDirectory("sfc-layout").toString)
     val spark = SparkSession.builder()

@@ -4,13 +4,15 @@ import java.util.Random
 import repro.core._
 import repro.core.PiecewiseBMC.{Node, Split, Tail, interleave}
 
-/** A BMTree learner (Li et al., PVLDB'23) with pluggable reward, as used
-  * in Section 6.3 of the reproduced paper.
+/** A BMTree learner (Li et al., PVLDB'23), as used in Section 6.3 of the
+  * reproduced paper.
   *
   * The learner partitions the space quadtree-style top-down to depth `h`:
   * at each node it picks which dimension's next bit orders the sub-space,
   * scoring each candidate with a *reward* (cost estimator) over the
-  * queries clipped to the sub-space:
+  * queries clipped to the sub-space. The rewards are the sealed set of
+  * three that the paper compares, and one match in [[BMTree.learn]]
+  * builds a node's scorer from them:
   *
   *  - [[BMTree.SPReward]] — the original BMTree's empirical estimator:
   *    order the node's ρ-sampled data points by the candidate curve, pack
@@ -26,53 +28,17 @@ import repro.core.PiecewiseBMC.{Node, Split, Tail, interleave}
   */
 object BMTree {
 
-  /** Everything a reward may look at when scoring one node's candidates:
-    * the node's remaining bits, its clipped + translated queries, its
-    * sampled data points in local coordinates, and the block size.
-    */
-  final case class NodeCtx(
-      remBits: Array[Int],
-      queries: Seq[Rect],
-      points: Array[Array[Long]],
-      blockSize: Int)
-
-  /** A pluggable node-cost estimator. `forNode` performs any per-node
-    * initialization (a query scan, an index build) and returns the
-    * candidate evaluator.
-    */
-  trait Reward {
-    def name: String
-    def forNode(ctx: NodeCtx): BMC => Double
-  }
-
-  /** Closed-form global cost (the BMTree-GC variant). */
-  object GCReward extends Reward {
-    override def name: String = "GC"
-    override def forNode(ctx: NodeCtx): BMC => Double = {
-      val est = new GlobalCost.Estimator(ctx.queries, ctx.remBits.length, ctx.remBits)
-      sigma => est.cost(sigma).doubleValue
-    }
-  }
-
-  /** Pattern-table local cost (the BMTree-LC variant). */
-  object LCReward extends Reward {
-    override def name: String = "LC"
-    override def forNode(ctx: NodeCtx): BMC => Double = {
-      val tables = new LocalCost.PatternTables(ctx.queries, ctx.remBits.length, ctx.remBits)
-      sigma => tables.cost(sigma).doubleValue
-    }
-  }
+  /** A node-cost estimator: one of the three rewards of Figs. 11–13. */
+  sealed trait Reward { def name: String }
 
   /** Sampled-data empirical cost (the original BMTree-SP variant). */
-  object SPReward extends Reward {
-    override def name: String = "SP"
-    override def forNode(ctx: NodeCtx): BMC => Double =
-      sigma => {
-        if (ctx.points.isEmpty) 0.0
-        else ClusteredIndex.build(ctx.points, sigma, ctx.blockSize)
-          .avgBlockAccesses(ctx.queries)
-      }
-  }
+  object SPReward extends Reward { override def name: String = "SP" }
+
+  /** Closed-form global cost (the BMTree-GC variant). */
+  object GCReward extends Reward { override def name: String = "GC" }
+
+  /** Pattern-table local cost (the BMTree-LC variant). */
+  object LCReward extends Reward { override def name: String = "LC" }
 
   /** Learned tree plus instrumentation. `rewardNanos` isolates the time
     * spent in reward initialization + candidate scoring — the quantity
@@ -113,7 +79,24 @@ object BMTree {
     // SP samples once at the root, like the original BMTree.
     val rng = new Random(seed)
     val sampled: Array[Array[Long]] =
-      if (reward eq SPReward) data.filter(_ => rng.nextDouble() < rho) else Array.empty
+      if (reward == SPReward) data.filter(_ => rng.nextDouble() < rho) else Array.empty
+
+    // One node's scorer over its remaining bits, clipped queries and
+    // sampled points: GC and LC scan the queries once here, SP builds an
+    // index per candidate.
+    def scorer(remBits: Array[Int], qs: Seq[Rect], pts: Array[Array[Long]]): BMC => Double =
+      reward match {
+        case SPReward =>
+          sigma =>
+            if (pts.isEmpty) 0.0
+            else ClusteredIndex.build(pts, sigma, blockSize).avgBlockAccesses(qs)
+        case GCReward =>
+          val est = new GlobalCost.Estimator(qs, d, remBits)
+          sigma => est.cost(sigma).doubleValue
+        case LCReward =>
+          val tables = new LocalCost.PatternTables(qs, d, remBits)
+          sigma => tables.cost(sigma).doubleValue
+      }
 
     def build(depth: Int, remBits: Array[Int], qs: Seq[Rect], pts: Array[Array[Long]]): Node = {
       if (depth >= h || qs.isEmpty) Tail(interleave(remBits))
@@ -124,8 +107,7 @@ object BMTree {
           if (candidates.size == 1) candidates.head
           else {
             val r0 = System.nanoTime()
-            val ctx = NodeCtx(remBits, qs, pts, blockSize)
-            val eval = reward.forNode(ctx)
+            val eval = scorer(remBits, qs, pts)
             val scored = candidates.map { c =>
               val below = remBits.clone(); below(c) -= 1
               // Candidate: bit of dimension c on top, default completion below.

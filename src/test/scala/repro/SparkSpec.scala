@@ -11,8 +11,9 @@ import org.scalatest.funsuite.AnyFunSuite
   * DuckDB oracle checks. Driver heap is set via ``Test / javaOptions`` in
   * build.sbt from SPARK_DRIVER_MEM; SPARK_MASTER and
   * SPARK_SHUFFLE_PARTITIONS override the master and the shuffle width.
-  * Broadcast joins are disabled, so the one join under test
-  * (`SqlCurveSpec`) runs as a shuffle join.
+  * Automatic broadcast joins are disabled, so `SqlCurveSpec`'s join runs
+  * as a shuffle join; `BlockAccess`'s range join keeps its explicit
+  * `broadcast` hint, which the disabled threshold does not override.
   */
 trait SparkSpec extends AnyFunSuite {
   lazy val spark: SparkSession = SparkSpec.shared

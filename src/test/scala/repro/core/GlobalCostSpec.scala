@@ -87,6 +87,11 @@ class GlobalCostSpec extends AnyFunSuite {
     val est = GlobalCost.Estimator(qs, 2, 3)
     intercept[IllegalArgumentException](est.cost(BMC.zOrder(2, 4)))
     intercept[IllegalArgumentException](est.cost(BMC.zOrder(3, 3)))
+    // d disagrees with the length of ℓ: refused at construction.
+    for (d <- Seq(1, 3)) {
+      val e = intercept[IllegalArgumentException](new GlobalCost.Estimator(qs, d, Array(3, 3)))
+      assert(e.getMessage.contains(s"d=$d, ℓ=(3,3)"), e.getMessage)
+    }
   }
 
   test("estimator rejects empty workloads") {

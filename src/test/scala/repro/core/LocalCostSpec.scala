@@ -207,6 +207,12 @@ class LocalCostSpec extends AnyFunSuite {
   test("tables reject mismatched BMC shapes") {
     val tables = LocalCost.PatternTables(Seq(Rect.of2d(0, 1, 0, 1)), 2, 3)
     intercept[IllegalArgumentException](tables.edges(BMC.zOrder(2, 4)))
+    // d disagrees with the length of ℓ: refused at construction.
+    for (d <- Seq(1, 3)) {
+      val e = intercept[IllegalArgumentException](
+        new LocalCost.PatternTables(Seq(Rect.of2d(0, 1, 0, 1)), d, Array(3, 3)))
+      assert(e.getMessage.contains(s"d=$d, ℓ=(3,3)"), e.getMessage)
+    }
   }
 
   test("tables reject empty workloads") {

@@ -85,16 +85,15 @@ class ExpRunnersSpec extends SparkSpec {
 
   test("BMTree reward abstraction: rewards order candidate dims") {
     // Full-height thin columns: putting an x bit on top keeps the y span
-    // low in the merged value, so the global cost must prefer the x split.
+    // low in the merged value, so BMTree-GC's root split must be on x.
     val bits = 4
     val qs = (0 until 16 by 2).map(x => Rect.of2d(x, x, 0, 15))
-    val ctx = BMTree.NodeCtx(Array(bits, bits), qs, Array.empty, 16)
-    val eval = BMTree.GCReward.forNode(ctx)
-    val belowX = Array(bits - 1, bits)
-    val sigX = BMC(PiecewiseBMC.interleave(belowX).dims.toSeq :+ 0, 2)
-    val belowY = Array(bits, bits - 1)
-    val sigY = BMC(PiecewiseBMC.interleave(belowY).dims.toSeq :+ 1, 2)
-    assert(eval(sigX) < eval(sigY), s"x-split ${eval(sigX)} vs y-split ${eval(sigY)}")
+    val res = BMTree.learn(qs, Array.empty, 2, bits, h = 1, rho = 0.0, BMTree.GCReward)
+    assert(res.nodes == 1)
+    res.curve.root match {
+      case PiecewiseBMC.Split(dim, _, _) => assert(dim == 0, s"root split on dimension $dim")
+      case tail => fail(s"no root split: $tail")
+    }
   }
 
   test("layout runner: chosen and adversarial rows, cost order, Spark = driver blocks") {
@@ -122,5 +121,16 @@ class ExpRunnersSpec extends SparkSpec {
     val ids = Seq("table6", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15",
       "fig16", "fig17", "table7", "layout", "all")
     assert(ids.forall(id => e.getMessage.contains(s"$id,") || e.getMessage.endsWith(id)), e.getMessage)
+  }
+
+  test("Main layout rejects invalid arguments before Spark starts") {
+    // Only invalid calls: a valid one would stop the suites' shared session.
+    val dir = Files.createTempDirectory("layout-args").toString
+    for (args <- Seq(Seq("XYZ"), Seq("OSM", "0", dir), Seq("OSM", "-5", dir), Seq("UNI", "ten"),
+                     Seq("OSM", "3000000000"), Seq("OSM", "100", dir, "extra"))) {
+      val e = intercept[IllegalArgumentException](Main.main(("layout" +: args).toArray))
+      assert(e.getMessage.contains("usage: layout [dist] [n] [outDir]"), e.getMessage)
+    }
+    assert(new java.io.File(dir).list().isEmpty)
   }
 }

@@ -2,8 +2,9 @@ package repro.learn
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core._
+import scala.util.hashing.MurmurHash3
 
-/** BMTree learner with pluggable rewards (Section 6.3 substrate). */
+/** BMTree learner with its three rewards (Section 6.3 substrate). */
 class BMTreeSpec extends AnyFunSuite {
 
   private val bits = 5
@@ -18,6 +19,22 @@ class BMTreeSpec extends AnyFunSuite {
       val values = Rect.cells(Rect.of2d(0, 31, 0, 31)).map(res.curve.value).toSeq
       assert(values.distinct.size == 1024)
       assert(values.min == 0L && values.max == 1023L)
+    }
+  }
+
+  // A fixed d=2, ℓ=4, h=3 run per reward: an ordered hash of the learned
+  // curve's values over the whole grid, and the node count. SP samples
+  // about half of the 3,000 points.
+  for ((reward, hash, nodes) <- Seq(
+      (BMTree.SPReward, -1102497649, 7),
+      (BMTree.GCReward, -649113791, 7),
+      (BMTree.LCReward, 531740375, 7))) {
+    test(s"${reward.name}: a fixed run reproduces its pinned curve and node count") {
+      val res = BMTree.learn(Workloads.squares("OSM", 30, 3, 4, 2).toSeq,
+        SpatialGen.quantizeAll(SpatialGen.points("OSM", 3000, 1), 4), 2, 4, h = 3, rho = 0.5, reward)
+      val values = Rect.cells(Rect.of2d(0, 15, 0, 15)).map(res.curve.value).toSeq
+      assert(MurmurHash3.orderedHash(values) == hash)
+      assert(res.nodes == nodes)
     }
   }
 
