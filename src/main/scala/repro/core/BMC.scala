@@ -121,7 +121,9 @@ object BMC {
     apply(order.flatMap(i => Seq.fill(bits)(i)), d)
   }
 
-  /** A uniformly random valid BMC (used by property tests and LBMC init). */
+  /** A uniformly random valid BMC: the candidates that the cost-efficiency
+    * experiments and the cost-scoring benchmark score, and test inputs.
+    */
   def random(d: Int, bits: Int, rng: java.util.Random): BMC = {
     val ids = new scala.util.Random(rng).shuffle((0 until d).flatMap(i => Seq.fill(bits)(i)).toVector)
     apply(ids, d)

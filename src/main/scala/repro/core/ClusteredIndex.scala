@@ -81,7 +81,9 @@ object ClusteredIndex {
   def build(points: Array[Array[Long]], curve: SpaceFillingCurve, blockSize: Int): ClusteredIndex =
     buildWithValues(points, points.map(curve.value), blockSize)
 
-  /** Build from precomputed curve values (used by the Spark cross-check). */
+  /** Build from precomputed curve values, so a caller can time the curve
+    * apart from the sort and pack.
+    */
   def buildWithValues(points: Array[Array[Long]], values: Array[Long], blockSize: Int): ClusteredIndex = {
     require(points.length == values.length, "points/values length mismatch")
     require(blockSize >= 1, "blockSize must be ≥ 1")

@@ -4,7 +4,8 @@ package repro.core
   *
   * Construction runs both O(n) initializations (IGC + ILC); [[cost]] then
   * evaluates any candidate BMC in O(d·ℓ) = O(1) time — this is the reward
-  * function used by LBMC, QUILTS, and the BMTree-GC/LC variants.
+  * function used by LBMC and QUILTS, and the score by which the Parquet
+  * layout chooses its curve.
   */
 final class WorkloadCost(val queries: Seq[Rect], val d: Int, val bitsPerDim: Array[Int]) {
   /** Closed-form global cost estimator (Eq. 6). */

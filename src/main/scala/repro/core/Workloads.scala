@@ -32,9 +32,9 @@ object Workloads {
   }
 
   /** `n` queries at uniformly random grid locations with per-dimension
-    * extents drawn in `[1, maxEdge]` — used by cost-estimation efficiency
-    * and correctness tests (the paper's "queries generated at random
-    * locations").
+    * extents drawn in `[1, maxEdge]` — the workload of the cost-scoring
+    * benchmark and of correctness tests (the paper's "queries generated
+    * at random locations").
     */
   def randomRects(d: Int, n: Int, maxEdge: Long, bits: Int, seed: Long): Array[Rect] = {
     val rng = new Random(seed)

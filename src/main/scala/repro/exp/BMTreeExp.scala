@@ -32,19 +32,17 @@ object BMTreeExp {
           nQueries: Int = DefaultQueries,
           h: Int = DefaultH,
           rho: Double = DefaultRho,
-          bits: Int = DefaultBits,
-          blockSize: Int = DefaultBlock,
-          edge: Long = DefaultEdge,
           rewards: Seq[BMTree.Reward] = Seq(BMTree.SPReward, BMTree.GCReward, BMTree.LCReward)): Seq[VariantRow] = {
     val seed = 21L
+    val bits = DefaultBits
     val data = SpatialGen.quantizeAll(SpatialGen.points(dist, n, seed), bits)
-    val learnQs = Workloads.squares(dist, nQueries, edge, bits, seed + 1)
-    val testQs = Workloads.squares(dist, 2 * nQueries, edge, bits, seed + 2)
+    val learnQs = Workloads.squares(dist, nQueries, DefaultEdge, bits, seed + 1)
+    val testQs = Workloads.squares(dist, 2 * nQueries, DefaultEdge, bits, seed + 2)
     rewards.map { rw =>
       // The learner is deterministic: the runs learn the same curve, and
       // their best times are reported, so one pause cannot skew a row.
-      val runs = Seq.fill(LearnRuns)(BMTree.learn(learnQs.toSeq, data, 2, bits, h, rho, rw, blockSize, seed + 3))
-      val idx = ClusteredIndex.build(data, runs.head.curve, blockSize)
+      val runs = Seq.fill(LearnRuns)(BMTree.learn(learnQs.toSeq, data, 2, bits, h, rho, rw, DefaultBlock, seed + 3))
+      val idx = ClusteredIndex.build(data, runs.head.curve, DefaultBlock)
       VariantRow(s"BMTree-${rw.name}", runs.map(_.rewardNanos).min, runs.map(_.totalNanos).min,
         idx.avgBlockAccesses(testQs.toSeq))
     }
@@ -54,7 +52,7 @@ object BMTreeExp {
     * paths before any reward time is recorded (same hygiene as the
     * cost-estimation micro-benchmarks).
     */
-  def warmup(): Unit = {
+  private def warmup(): Unit = {
     run(n = 5_000, nQueries = 30, h = 3, rho = 0.1)
     ()
   }

@@ -34,6 +34,8 @@ object CostEfficiencyExp {
   val DefaultBits = 10
   val DefaultD = 2
   private val Seed = 11L
+  /** m, the random candidate BMCs each measurement point evaluates. */
+  private val Candidates = 50
 
   /** Built as a `Seq` once, so no timed call copies the workload. */
   private def queries(n: Int, delta: Long, bits: Int, d: Int): Seq[Rect] = {
@@ -86,13 +88,13 @@ object CostEfficiencyExp {
     Seq(0, 2, 4, 6, 8), Seq(10, 12, 14), d => math.max(4L, 64L >> d))
 
   /** One measurement point of `model` on `n` queries of edge `delta`, over
-    * `m` random candidate BMCs.
+    * m random candidate BMCs.
     */
   def measure(model: Model, n: Int = DefaultN, delta: Long = DefaultDelta, bits: Int = DefaultBits,
-              d: Int = DefaultD, m: Int = 50): Row = {
+              d: Int = DefaultD): Row = {
     val qs = queries(n, delta, bits, d)
     val rng = new Random(Seed + 1)
-    val cands = Array.fill(m)(BMC.random(d, bits, rng))
+    val cands = Array.fill(Candidates)(BMC.random(d, bits, rng))
     val naiveCands = if (model.naiveAll) cands else cands.take(1)
     val initNanos = TableFmt.bestOf(model.init(qs, d, bits))
     val cost = model.init(qs, d, bits)
@@ -102,12 +104,12 @@ object CostEfficiencyExp {
     val fast = TableFmt.bestOf(cands.foreach(c => sink += cost(c).bitLength))
     val naive = TableFmt.bestOf(naiveCands.foreach(c => sink += model.naive(qs, c).bitLength))
     require(sink > 0) // consume the sink: every cost is at least n ≥ 1
-    Row(s"n=$n,δ=$delta,ℓ=$bits,d=$d", initNanos, fast / m, naive / naiveCands.length)
+    Row(s"n=$n,δ=$delta,ℓ=$bits,d=$d", initNanos, fast / Candidates, naive / naiveCands.length)
   }
 
   /** Table 6: initialization and naive costs while varying n = 2¹..2¹⁰. */
-  def table6(maxExp: Int = 10): Seq[(Int, Row, Row)] =
-    (1 to maxExp).map { e =>
+  def table6(): Seq[(Int, Row, Row)] =
+    (1 to 10).map { e =>
       val n = 1 << e
       (n, measure(Global, n = n), measure(Local, n = n))
     }

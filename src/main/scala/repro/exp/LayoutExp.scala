@@ -18,11 +18,13 @@ object LayoutExp {
 
   final case class Row(layout: String, curve: BMC, filesTouched: Double, blockAccesses: Double)
 
+  private val NumFiles = 32
+
   /** Choose, write and measure both layouts under `out`, printing the
     * choice and the table; returns the queries and the rows.
     */
-  def run(spark: SparkSession, dist: String, n: Int, out: String,
-          bits: Int = DefaultBits, numFiles: Int = 32): (Array[Rect], Seq[Row]) = {
+  def run(spark: SparkSession, dist: String, n: Int, out: String): (Array[Rect], Seq[Row]) = {
+    val bits = DefaultBits
     val df = SpatialData.dataset(spark, dist, n, seed = 1, bits)
     val k = 1L << bits
     val queries = Workloads.rectangles(dist, 200, k >> 3, k >> 6, bits, seed = 2)
@@ -36,8 +38,8 @@ object LayoutExp {
 
     val bestPath = s"$out/best"
     val worstPath = s"$out/worst"
-    val (_, tWrite) = TableFmt.timed(Layout.write(df, best, bestPath, numFiles))
-    Layout.write(df, worst, worstPath, numFiles)
+    val (_, tWrite) = TableFmt.timed(Layout.write(df, best, bestPath, NumFiles))
+    Layout.write(df, worst, worstPath, NumFiles)
     println(f"layout written to $bestPath in ${tWrite / 1e9}%.1f s")
 
     val rows = Seq(("chosen", best, bestPath), ("adversarial", worst, worstPath)).map {
@@ -45,7 +47,7 @@ object LayoutExp {
         Row(name, curve, Layout.avgFilesTouched(spark, path, queries),
           BlockAccess.average(spark, df, curve, DefaultBlock, queries))
     }
-    println(TableFmt.render(s"Parquet layout quality ($dist, N=$n, $numFiles files)",
+    println(TableFmt.render(s"Parquet layout quality ($dist, N=$n, $NumFiles files)",
       Seq("layout", "avg files touched", "avg block accesses"),
       rows.map(r => Seq(r.layout, f"${r.filesTouched}%.2f", f"${r.blockAccesses}%.1f"))))
     (queries, rows)

@@ -21,16 +21,13 @@ object QueryExp {
   final case class CurveRow(name: String, curve: SpaceFillingCurve)
 
   /** Build all six competitors for one dataset + learning workload. */
-  def competitors(data: Array[Array[Long]],
-                  learnQs: Array[Rect],
-                  bits: Int = DefaultBits,
-                  h: Int = DefaultH,
-                  rho: Double = DefaultRho): Seq[CurveRow] = {
+  def competitors(data: Array[Array[Long]], learnQs: Array[Rect]): Seq[CurveRow] = {
+    val bits = DefaultBits
     val wc = WorkloadCost(learnQs.toSeq, 2, bits)
     Seq(
       CurveRow("LBMC", new LBMC(wc).learn(BMC.zOrder(2, bits)).best),
       CurveRow("BMTree",
-        BMTree.learn(learnQs.toSeq, data, 2, bits, h, rho, BMTree.SPReward, DefaultBlock, seed = 31).curve),
+        BMTree.learn(learnQs.toSeq, data, 2, bits, DefaultH, DefaultRho, BMTree.SPReward, DefaultBlock, seed = 31).curve),
       CurveRow("QUILTS", Quilts.design(wc, bits)._1),
       CurveRow("ZC", BMC.zOrder(2, bits)),
       CurveRow("HC", new Hilbert(2, bits)),
@@ -39,10 +36,9 @@ object QueryExp {
   }
 
   /** Average block accesses of each curve over the test workload. */
-  def evaluate(data: Array[Array[Long]], curves: Seq[CurveRow], testQs: Array[Rect],
-               blockSize: Int = DefaultBlock): Seq[(String, Double)] =
+  def evaluate(data: Array[Array[Long]], curves: Seq[CurveRow], testQs: Array[Rect]): Seq[(String, Double)] =
     curves.map { c =>
-      val idx = ClusteredIndex.build(data, c.curve, blockSize)
+      val idx = ClusteredIndex.build(data, c.curve, DefaultBlock)
       (c.name, idx.avgBlockAccesses(testQs.toSeq))
     }
 

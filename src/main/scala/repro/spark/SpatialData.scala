@@ -1,7 +1,6 @@
 package repro.spark
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 import repro.core.SpatialGen
 
 /** Spark-side views of the synthetic spatial datasets.
@@ -14,7 +13,9 @@ import repro.core.SpatialGen
   */
 object SpatialData {
 
-  /** A point dataset: raw `[0,1)` coordinates plus grid cell indices.
+  /** A point dataset: raw `[0,1)` coordinates `x`, `y` plus their grid
+    * cells `xq`, `yq`, each cell computed by the driver's own
+    * [[SpatialGen.quantize]].
     *
     * The points travel as at most `defaultParallelism` contiguous slices,
     * one partition each, every slice a pair of primitive `x`/`y` column
@@ -32,18 +33,9 @@ object SpatialData {
       (Array.tabulate(hi - lo)(i => pts(lo + i)(0)), Array.tabulate(hi - lo)(i => pts(lo + i)(1)))
     }
     spark.sparkContext.parallelize(chunks, slices)
-      .flatMap { case (xs, ys) => xs.indices.iterator.map(i => (xs(i), ys(i))) }
-      .toDF("x", "y")
-      .select(
-        $"x", $"y",
-        quantizeCol($"x", bits) as "xq",
-        quantizeCol($"y", bits) as "yq",
-      )
-  }
-
-  /** Column-level quantization matching [[SpatialGen.quantize]]. */
-  def quantizeCol(c: org.apache.spark.sql.Column, bits: Int): org.apache.spark.sql.Column = {
-    val k = 1L << bits
-    least(lit(k - 1), greatest(lit(0L), floor(c * k).cast("long")))
+      .flatMap { case (xs, ys) =>
+        xs.indices.iterator.map(i => (xs(i), ys(i), SpatialGen.quantize(xs(i), bits), SpatialGen.quantize(ys(i), bits)))
+      }
+      .toDF("x", "y", "xq", "yq")
   }
 }

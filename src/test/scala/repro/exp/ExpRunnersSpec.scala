@@ -3,10 +3,16 @@ package repro.exp
 import java.nio.file.Files
 import repro.SparkSpec
 import repro.core._
+import repro.core.PiecewiseBMC.{Split, Tail}
+import repro.exp.Defaults._
 import repro.jobs.Main
 import repro.learn.{BMTree, Quilts}
 
-/** Smoke + invariant tests for the experiment runners the benches use. */
+/** Smoke + invariant tests for the experiment runners the benches use.
+  * Each runner runs at the constants `Main` runs it with; only the data
+  * and query counts are small. Curves and block accesses are pinned, so a
+  * change that alters what a runner computes fails here.
+  */
 class ExpRunnersSpec extends SparkSpec {
 
   test("TableFmt renders aligned tables") {
@@ -28,19 +34,19 @@ class ExpRunnersSpec extends SparkSpec {
   }
 
   test("global efficiency row: GC beats NGC at n=64") {
-    val row = CostEfficiencyExp.measure(CostEfficiencyExp.Global, n = 64, m = 20)
+    val row = CostEfficiencyExp.measure(CostEfficiencyExp.Global, n = 64)
     assert(row.fastNanosPerEval > 0 && row.naiveNanosPerEval > 0)
     assert(row.gain > 1.0, s"expected speedup, got ${row.gain}")
   }
 
   test("local efficiency row: LC beats NLC at n=16") {
-    val row = CostEfficiencyExp.measure(CostEfficiencyExp.Local, n = 16, m = 20)
+    val row = CostEfficiencyExp.measure(CostEfficiencyExp.Local, n = 16)
     assert(row.gain > 10.0, s"expected large speedup, got ${row.gain}")
   }
 
   test("GC evaluation time is roughly constant in n (Fig. 9a claim)") {
-    val small = CostEfficiencyExp.measure(CostEfficiencyExp.Global, n = 4, m = 30)
-    val large = CostEfficiencyExp.measure(CostEfficiencyExp.Global, n = 256, m = 30)
+    val small = CostEfficiencyExp.measure(CostEfficiencyExp.Global, n = 4)
+    val large = CostEfficiencyExp.measure(CostEfficiencyExp.Global, n = 256)
     // Naive grows ~64x; fast must grow far less (allow generous jitter).
     val naiveGrowth = large.naiveNanosPerEval / small.naiveNanosPerEval
     val fastGrowth = large.fastNanosPerEval / math.max(1.0, small.fastNanosPerEval)
@@ -49,38 +55,37 @@ class ExpRunnersSpec extends SparkSpec {
   }
 
   test("BMTreeExp.run produces all three variants with sane metrics") {
-    val rows = BMTreeExp.run(dist = "UNI", n = 5000, nQueries = 20, h = 3,
-      rho = 0.05, bits = 8, blockSize = 32, edge = 32)
+    val rows = BMTreeExp.run(dist = "UNI", n = 5000, nQueries = 20, h = 3, rho = 0.05)
     assert(rows.map(_.variant) == Seq("BMTree-SP", "BMTree-GC", "BMTree-LC"))
     assert(rows.forall(_.blockAccesses >= 0))
     assert(rows.forall(r => r.rewardNanos <= r.learnNanos))
   }
 
   test("QueryExp.competitors returns the six paper competitors") {
-    val bits = 8
-    val data = SpatialGen.quantizeAll(SpatialGen.points("UNI", 3000, 1), bits)
-    val qs = Workloads.squares("UNI", 20, 16, bits, 2)
-    val curves = QueryExp.competitors(data, qs, bits, h = 3, rho = 0.05)
+    val data = SpatialGen.quantizeAll(SpatialGen.points("UNI", 3000, 1), DefaultBits)
+    val qs = Workloads.squares("UNI", 20, DefaultEdge, DefaultBits, 2)
+    val curves = QueryExp.competitors(data, qs)
     assert(curves.map(_.name) == Seq("LBMC", "BMTree", "QUILTS", "ZC", "HC", "LC"))
-    // All curves are evaluable.
-    val rows = QueryExp.evaluate(data, curves, qs, blockSize = 32)
-    assert(rows.forall(_._2 > 0))
+    // Pinned curves. BMTree splits on x at all 6 levels and orders every
+    // leaf alike; HC has no structure to print but its shape.
+    def bmtree(h: Int): PiecewiseBMC.Node =
+      if (h == 0) Tail(TestRefs.fromString("YYYYYYYXYXYXYXYXYXYXYXYXYX")) else Split(0, bmtree(h - 1), bmtree(h - 1))
+    val byName = curves.map(c => c.name -> c.curve).toMap
+    assert(Seq("LBMC", "QUILTS", "ZC", "LC").map(byName(_).toString) == Seq(
+      "YYXXXXYYXXYYYYXXYYXXXYXXYYXYYXYX", "XXXXXXXXXXXXXXXXYYYYYYYYYYYYYYYY",
+      "YXYXYXYXYXYXYXYXYXYXYXYXYXYXYXYX", "XXXXXXXXXXXXXXXXYYYYYYYYYYYYYYYY"))
+    assert(byName("BMTree").asInstanceOf[PiecewiseBMC].root == bmtree(6))
+    val hc = byName("HC").asInstanceOf[Hilbert]
+    assert((hc.d, hc.bits) == (2, DefaultBits))
+    assert(QueryExp.evaluate(data, curves, qs) ==
+      Seq("LBMC" -> 2.0, "BMTree" -> 3.75, "QUILTS" -> 3.7, "ZC" -> 2.45, "HC" -> 2.25, "LC" -> 3.7))
   }
 
   test("SP reward dominates GC/LC reward time on large samples (Fig. 11 shape)") {
-    val rows = BMTreeExp.run(dist = "OSM", n = 50000, nQueries = 40, h = 4,
-      rho = 0.2, bits = 10, blockSize = 64, edge = 64)
+    val rows = BMTreeExp.run(dist = "OSM", n = 50000, nQueries = 40, h = 4, rho = 0.2)
     val byName = rows.map(r => r.variant -> r.rewardNanos).toMap
     assert(byName("BMTree-SP") > byName("BMTree-GC"), byName.toString)
     assert(byName("BMTree-SP") > byName("BMTree-LC"), byName.toString)
-  }
-
-  test("Table 6 rows: naive time grows with n") {
-    val rows = CostEfficiencyExp.table6(maxExp = 6)
-    val ngc = rows.map(_._2.naiveNanosPerEval)
-    // n grows 32× across the sweep; NGC is O(n) so the largest point must
-    // clearly dominate the cheapest one (JIT jitter tolerated via min).
-    assert(ngc.last > ngc.min * 4, s"NGC: $ngc")
   }
 
   test("BMTree reward abstraction: rewards order candidate dims") {
@@ -97,10 +102,13 @@ class ExpRunnersSpec extends SparkSpec {
   }
 
   test("layout runner: chosen and adversarial rows, cost order, Spark = driver blocks") {
-    val (dist, n, bits) = ("UNI", 4000, 8)
-    val (queries, rows) = LayoutExp.run(spark, dist, n,
-      Files.createTempDirectory("layout-exp").toString, bits, numFiles = 4)
+    val (dist, n, bits) = ("UNI", 4000, DefaultBits)
+    val (queries, rows) = LayoutExp.run(spark, dist, n, Files.createTempDirectory("layout-exp").toString)
     assert(rows.map(_.layout) == Seq("chosen", "adversarial"))
+    // Pinned curves and block accesses; files touched follow the range
+    // partitioner's sample and the core count, so they are not pinned.
+    assert(rows.map(r => (r.curve.toString, r.blockAccesses)) == Seq(
+      ("YYYYYYYYYYYYYYYYXXXXXXXXXXXXXXXX", 1.34), ("XXXYYYYYYXXXXXXXXXXXXXYYYYYYYYYY", 1.755)))
     val wc = WorkloadCost(queries.toSeq, 2, bits)
     assert(wc.cost(rows.head.curve) <= wc.cost(rows(1).curve))
     // The runner chooses among the QUILTS candidates alone: chosen is their
@@ -112,7 +120,7 @@ class ExpRunnersSpec extends SparkSpec {
     // The runner's data: seed 1, quantized as SpatialData does.
     val cells = SpatialGen.quantizeAll(SpatialGen.points(dist, n, 1), bits)
     for (r <- rows)
-      assert(r.blockAccesses == ClusteredIndex.build(cells, r.curve, Defaults.DefaultBlock).avgBlockAccesses(queries.toSeq),
+      assert(r.blockAccesses == ClusteredIndex.build(cells, r.curve, DefaultBlock).avgBlockAccesses(queries.toSeq),
         r.layout)
   }
 
