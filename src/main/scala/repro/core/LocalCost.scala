@@ -144,9 +144,6 @@ object LocalCost {
       sum
     }
 
-    /** Number of queries in the workload. */
-    val n: Int = queries.size
-
     /** tables(b)(c): `T_b[c]` at the vertex index `c = Σ_m c_m·stride(m)`.
       *
       * Per query and dimension b, Alg. 1's product is an outer product of

@@ -13,7 +13,6 @@ import repro.learn.BMTree
   */
 object BMTreeExp {
 
-  val DefaultQueries = 200
   // The original BMTree samples 10⁵ of 10⁸ points; scaled to our N this
   // keeps the SP sample in the thousands so its cost profile is realistic.
   val DefaultRho = 0.05
@@ -29,7 +28,7 @@ object BMTreeExp {
   /** Learn with each reward variant on one configuration and evaluate. */
   def run(dist: String = "OSM",
           n: Int = DefaultN,
-          nQueries: Int = DefaultQueries,
+          nQueries: Int = LearnQueries,
           h: Int = DefaultH,
           rho: Double = DefaultRho,
           rewards: Seq[BMTree.Reward] = Seq(BMTree.SPReward, BMTree.GCReward, BMTree.LCReward)): Seq[VariantRow] = {

@@ -13,4 +13,7 @@ object Defaults {
   // (the paper's PostgreSQL runs report thousands of block reads/query).
   val DefaultEdge = 8192L
   val DefaultH = 6
+  // Queries each learner learns from; every runner scores the learned
+  // curves on twice as many.
+  val LearnQueries = 200
 }

@@ -14,25 +14,33 @@ import repro.learn.{BMTree, LBMC, Quilts}
   */
 object QueryExp {
 
-  val LearnQueries = 200
-  val TestQueries = 400
   val DefaultRho = 0.02
+  // Fig. 15's data seed and cardinalities, which Table 7 times too.
+  private val CardinalitySeed = 51L
+  private val Cardinalities = Seq(10_000, 100_000, 1_000_000)
 
-  final case class CurveRow(name: String, curve: SpaceFillingCurve)
+  /** A competitor's curve and its Table 7 learning time: 0 for a fixed
+    * curve; LBMC's and QUILTS's include the init of the cost model they share.
+    */
+  final case class CurveRow(name: String, curve: SpaceFillingCurve, learnNanos: Long)
+
+  /** The three learned competitors of one dataset + learning workload. */
+  private final case class Learners(lbmc: CurveRow, bmtree: CurveRow, quilts: CurveRow)
+
+  private def learners(data: Array[Array[Long]], learnQs: Array[Rect]): Learners = {
+    val (wc, wcNanos) = TableFmt.timed(WorkloadCost(learnQs.toSeq, 2, DefaultBits))
+    val lbmc = new LBMC(wc).learn(BMC.zOrder(2, DefaultBits))
+    val bmtree = BMTree.learn(learnQs.toSeq, data, 2, DefaultBits, DefaultH, DefaultRho, BMTree.SPReward, DefaultBlock, seed = 31)
+    val ((quilts, _), quiltsNanos) = TableFmt.timed(Quilts.design(wc, DefaultBits))
+    Learners(CurveRow("LBMC", lbmc.best, wcNanos + lbmc.totalNanos),
+      CurveRow("BMTree", bmtree.curve, bmtree.totalNanos), CurveRow("QUILTS", quilts, wcNanos + quiltsNanos))
+  }
 
   /** Build all six competitors for one dataset + learning workload. */
   def competitors(data: Array[Array[Long]], learnQs: Array[Rect]): Seq[CurveRow] = {
-    val bits = DefaultBits
-    val wc = WorkloadCost(learnQs.toSeq, 2, bits)
-    Seq(
-      CurveRow("LBMC", new LBMC(wc).learn(BMC.zOrder(2, bits)).best),
-      CurveRow("BMTree",
-        BMTree.learn(learnQs.toSeq, data, 2, bits, DefaultH, DefaultRho, BMTree.SPReward, DefaultBlock, seed = 31).curve),
-      CurveRow("QUILTS", Quilts.design(wc, bits)._1),
-      CurveRow("ZC", BMC.zOrder(2, bits)),
-      CurveRow("HC", new Hilbert(2, bits)),
-      CurveRow("LC", BMC.lexicographic(2, bits, 0)),
-    )
+    val l = learners(data, learnQs)
+    Seq(l.lbmc, l.bmtree, l.quilts, CurveRow("ZC", BMC.zOrder(2, DefaultBits), 0L),
+      CurveRow("HC", new Hilbert(2, DefaultBits), 0L), CurveRow("LC", BMC.lexicographic(2, DefaultBits, 0), 0L))
   }
 
   /** Average block accesses of each curve over the test workload. */
@@ -42,78 +50,74 @@ object QueryExp {
       (c.name, idx.avgBlockAccesses(testQs.toSeq))
     }
 
-  /** One case of Figs. 14–17: every competitor learned on `LearnQueries`
-    * queries from seed + 1 and scored on `TestQueries` from seed + 2, where
-    * `data` comes from seed; `queries(count, seed)` makes each set.
+  /** One case of Figs. 14–17: `data` comes from `seed`, and every competitor
+    * is learned on `LearnQueries` queries from seed + 1 and scored on twice as
+    * many from seed + 2; `queries(count, seed)` makes each set.
     */
-  private def scoreCase(data: Array[Array[Long]], seed: Long)(
-      queries: (Int, Long) => Array[Rect]): Seq[(String, Double)] =
-    evaluate(data, competitors(data, queries(LearnQueries, seed + 1)), queries(TestQueries, seed + 2))
+  private final case class Case(data: Array[Array[Long]], seed: Long, queries: (Int, Long) => Array[Rect]) {
+    def learnQs: Array[Rect] = queries(LearnQueries, seed + 1)
+    def scores: Seq[(String, Double)] = evaluate(data, competitors(data, learnQs), queries(2 * LearnQueries, seed + 2))
+  }
 
   /** Fig. 14: all curves on all four datasets. */
   def overall(): Seq[(String, Seq[(String, Double)])] = {
     val seed = 41L
     SpatialGen.Distributions.map { dist =>
       val data = SpatialGen.quantizeAll(SpatialGen.points(dist, DefaultN, seed), DefaultBits)
-      (dist, scoreCase(data, seed)(Workloads.squares(dist, _, DefaultEdge, DefaultBits, _)))
+      (dist, Case(data, seed, Workloads.squares(dist, _, DefaultEdge, DefaultBits, _)).scores)
     }
   }
 
+  private def osmData(n: Int, seed: Long): Array[Array[Long]] =
+    SpatialGen.quantizeAll(SpatialGen.points("OSM", n, seed), DefaultBits)
+
+  /** Fig. 15's case at cardinality n, whose learners Table 7 times. */
+  private def cardinalityCase(n: Int): Case =
+    Case(osmData(n, CardinalitySeed), CardinalitySeed, Workloads.squares("OSM", _, DefaultEdge, DefaultBits, _))
+
   /** Fig. 15: vary the dataset cardinality (OSM-like). */
-  def varyCardinality(): Seq[(Int, Seq[(String, Double)])] = {
-    val seed = 51L
-    Seq(10_000, 100_000, 1_000_000).map { n =>
-      val data = SpatialGen.quantizeAll(SpatialGen.points("OSM", n, seed), DefaultBits)
-      (n, scoreCase(data, seed)(Workloads.squares("OSM", _, DefaultEdge, DefaultBits, _)))
-    }
-  }
+  def varyCardinality(): Seq[(Int, Seq[(String, Double)])] =
+    Cardinalities.map(n => (n, cardinalityCase(n).scores))
 
   /** Fig. 16: vary the query aspect ratio at fixed area (OSM-like). */
   def varyAspectRatio(): Seq[(String, Seq[(String, Double)])] = {
     val seed = 61L
-    val data = SpatialGen.quantizeAll(SpatialGen.points("OSM", DefaultN, seed), DefaultBits)
+    val data = osmData(DefaultN, seed)
     Seq(16.0, 4.0, 1.0, 0.25, 0.0625).map { r =>
       val label = if (r >= 1) s"${r.toInt}:1" else s"1:${(1 / r).toInt}"
-      (label, scoreCase(data, seed)(Workloads.withAspectRatio("OSM", _, DefaultEdge, r, DefaultBits, _)))
+      (label, Case(data, seed, Workloads.withAspectRatio("OSM", _, DefaultEdge, r, DefaultBits, _)).scores)
     }
   }
 
   /** Fig. 17: vary the query edge length (OSM-like). */
   def varyEdge(): Seq[(Long, Seq[(String, Double)])] = {
     val seed = 71L
-    val data = SpatialGen.quantizeAll(SpatialGen.points("OSM", DefaultN, seed), DefaultBits)
+    val data = osmData(DefaultN, seed)
     Seq(2048L, 4096L, 8192L, 16384L).map(e =>
-      (e, scoreCase(data, seed)(Workloads.squares("OSM", _, e, DefaultBits, _))))
+      (e, Case(data, seed, Workloads.squares("OSM", _, e, DefaultBits, _)).scores))
   }
 
   final case class LearningTime(n: Int, bmtreeNanos: Long, lbmcNanos: Long, quiltsNanos: Long)
 
-  /** Table 7: learning time of BMTree (SP reward), LBMC and QUILTS vs N
-    * (OSM-like); LBMC's and QUILTS's times include the cost model's init.
-    * An untimed pass at N = 5,000 first lets the JIT compile the learners,
-    * so the first timed row does not run in a cold JVM.
+  /** Table 7: learning time of BMTree (SP reward), LBMC and QUILTS vs N while
+    * they learn Fig. 15's curves for [[competitors]]. An untimed pass at N = 5,000
+    * first lets the JIT compile them, so the first timed row does not run in a cold JVM.
     */
   def learningTime(): Seq[LearningTime] = {
-    val bits = DefaultBits
-    val learnQs = Workloads.squares("OSM", LearnQueries, DefaultEdge, bits, 3).toSeq
     def measure(n: Int): LearningTime = {
-      val data = SpatialGen.quantizeAll(SpatialGen.points("OSM", n, 2), bits)
-      val bmtree = BMTree.learn(learnQs, data, 2, bits, DefaultH, DefaultRho,
-        BMTree.SPReward, DefaultBlock)
-      val (wc, wcNanos) = TableFmt.timed(WorkloadCost(learnQs, 2, bits))
-      val lbmc = new LBMC(wc).learn(BMC.zOrder(2, bits))
-      val (_, quiltsNanos) = TableFmt.timed(Quilts.design(wc, bits))
-      LearningTime(n, bmtree.totalNanos, wcNanos + lbmc.totalNanos, wcNanos + quiltsNanos)
+      val c = cardinalityCase(n)
+      val l = learners(c.data, c.learnQs)
+      LearningTime(n, l.bmtree.learnNanos, l.lbmc.learnNanos, l.quilts.learnNanos)
     }
     measure(5_000)
-    Seq(10_000, 100_000, 1_000_000).map(measure)
+    Cardinalities.map(measure)
   }
 
   def table7Table(rows: Seq[LearningTime]): String =
-    TableFmt.render("Table 7: SFC learning time (seconds) vs N (OSM-like)",
-      Seq("N", "BMTree (s)", "LBMC (s)", "QUILTS (s)"),
-      rows.map(r => Seq(r.n.toString, TableFmt.secs(r.bmtreeNanos.toDouble),
-        TableFmt.secs(r.lbmcNanos.toDouble), TableFmt.secs(r.quiltsNanos.toDouble))))
+    TableFmt.render("Table 7: SFC learning time (ms) vs N (OSM-like)",
+      Seq("N", "BMTree (ms)", "LBMC (ms)", "QUILTS (ms)"),
+      rows.map(r => Seq(r.n.toString, TableFmt.ms(r.bmtreeNanos.toDouble),
+        TableFmt.ms(r.lbmcNanos.toDouble), TableFmt.ms(r.quiltsNanos.toDouble))))
 
   /** Block accesses per curve, one row per swept value `key`. */
   private def scoreTable[K](caption: String, key: String,

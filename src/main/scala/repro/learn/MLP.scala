@@ -33,22 +33,24 @@ final class MLP(val inputs: Int, val hidden: Int, val outputs: Int, seed: Long, 
   private[learn] val b1 = new Array[Double](hidden)
   private[learn] val b2 = new Array[Double](outputs)
 
-  // Adam state.
-  private val mw1, vw1 = Array.ofDim[Double](inputs, hidden)
-  private val mw2, vw2 = Array.ofDim[Double](hidden, outputs)
-  private val mb1, vb1 = new Array[Double](hidden)
-  private val mb2, vb2 = new Array[Double](outputs)
-  private var adamT = 0
-  private val beta1 = 0.9
-  private val beta2 = 0.999
-  private val eps = 1e-8
-
   // Training buffers, allocated once: the gradients, and the hidden
   // activations, hidden deltas and outputs of one sample.
   private val gw1 = Array.ofDim[Double](inputs, hidden)
   private val gw2 = Array.ofDim[Double](hidden, outputs)
   private val gb1, h, dh = new Array[Double](hidden)
   private val gb2, out = new Array[Double](outputs)
+
+  // Every parameter row, and its gradient row at the same index: the one
+  // list that Adam, the gradient reset and the target sync walk.
+  private val params = w1 ++ w2 :+ b1 :+ b2
+  private val grads = gw1 ++ gw2 :+ gb1 :+ gb2
+
+  // Adam state: the two moments of each parameter row.
+  private val moment1, moment2 = params.map(p => new Array[Double](p.length))
+  private var adamT = 0
+  private val beta1 = 0.9
+  private val beta2 = 0.999
+  private val eps = 1e-8
 
   /** `out = b + Σ_i in(i)·w(i)`, clamped at zero when `relu`: one axpy per
     * nonzero input, in ascending `i`, so each output adds the same terms in
@@ -95,10 +97,7 @@ final class MLP(val inputs: Int, val hidden: Int, val outputs: Int, seed: Long, 
   def trainBatch(batch: Seq[(Array[Double], Int, Double)]): Double = {
     require(batch.nonEmpty, "empty batch")
     val n = batch.size
-    gw1.foreach(java.util.Arrays.fill(_, 0.0))
-    gw2.foreach(java.util.Arrays.fill(_, 0.0))
-    java.util.Arrays.fill(gb1, 0.0)
-    java.util.Arrays.fill(gb2, 0.0)
+    grads.foreach(java.util.Arrays.fill(_, 0.0))
     var loss = 0.0
     for ((x, action, target) <- batch) {
       forwardInto(x, h, out)
@@ -147,18 +146,13 @@ final class MLP(val inputs: Int, val hidden: Int, val outputs: Int, seed: Long, 
         i += 1
       }
     }
-    var i = 0
-    while (i < inputs) { update(w1(i), gw1(i), mw1(i), vw1(i)); i += 1 }
-    update(b1, gb1, mb1, vb1)
-    i = 0
-    while (i < hidden) { update(w2(i), gw2(i), mw2(i), vw2(i)); i += 1 }
-    update(b2, gb2, mb2, vb2)
+    var r = 0
+    while (r < params.length) { update(params(r), grads(r), moment1(r), moment2(r)); r += 1 }
   }
 
   /** Copy another network's weights into this one (target-network sync). */
   def copyWeightsFrom(other: MLP): Unit = {
     require(other.inputs == inputs && other.hidden == hidden && other.outputs == outputs, "shape mismatch")
-    for ((from, to) <- other.w1.zip(w1) ++ other.w2.zip(w2) ++ Seq((other.b1, b1), (other.b2, b2)))
-      System.arraycopy(from, 0, to, 0, to.length)
+    for (r <- params.indices) System.arraycopy(other.params(r), 0, params(r), 0, params(r).length)
   }
 }

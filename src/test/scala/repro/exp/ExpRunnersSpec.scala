@@ -66,6 +66,9 @@ class ExpRunnersSpec extends SparkSpec {
     val qs = Workloads.squares("UNI", 20, DefaultEdge, DefaultBits, 2)
     val curves = QueryExp.competitors(data, qs)
     assert(curves.map(_.name) == Seq("LBMC", "BMTree", "QUILTS", "ZC", "HC", "LC"))
+    // Table 7's learning times: the learners take time, the fixed curves none.
+    assert(curves.take(3).forall(_.learnNanos > 0) && curves.drop(3).forall(_.learnNanos == 0L),
+      curves.map(c => c.name -> c.learnNanos))
     // Pinned curves. BMTree splits on x at all 6 levels and orders every
     // leaf alike; HC has no structure to print but its shape.
     def bmtree(h: Int): PiecewiseBMC.Node =

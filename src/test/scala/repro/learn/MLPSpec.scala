@@ -151,11 +151,18 @@ class MLPSpec extends AnyFunSuite {
   }
 
   test("copyWeightsFrom makes networks identical") {
+    // Train the source first, so its biases are no longer all zero and a
+    // sync that skipped one layer's biases would show.
     val a = new MLP(3, 6, 2, seed = 1)
+    val rng = new java.util.Random(3)
+    for (_ <- 0 until 5)
+      a.trainBatch(Seq.fill(4)((Array.fill(3)(rng.nextGaussian()), rng.nextInt(2), rng.nextGaussian())))
+    assert(a.b1.exists(_ != 0.0) && a.b2.forall(_ != 0.0))
     val b = new MLP(3, 6, 2, seed = 2)
     b.copyWeightsFrom(a)
-    val x = Array(0.1, 0.5, -0.4)
-    assert(a.forward(x).toSeq == b.forward(x).toSeq)
+    def bits(xs: Array[Double]): Seq[Long] = xs.toSeq.map(java.lang.Double.doubleToRawLongBits)
+    for (x <- Seq(Array(0.1, 0.5, -0.4), Array(0.0, 0.0, 0.0), Array(-1.0, 2.0, 0.3)))
+      assert(bits(a.forward(x)) == bits(b.forward(x)))
   }
 
   test("copyWeightsFrom rejects shape mismatches") {
