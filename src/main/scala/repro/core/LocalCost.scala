@@ -13,19 +13,17 @@ package repro.core
   */
 object LocalCost {
 
-  private def pow2(k: Int): Long = 1L << k
-
-  private def ceilDiv(a: Long, b: Long): Long = -Math.floorDiv(-a, b)
-
   /** N(R_b^k): rise patterns of order `k ≥ 1` inside the inclusive
     * coordinate range `[s, e]` — transitions from `a·2^k + (2^(k−1)−1)` to
     * `a·2^k + 2^(k−1)` with both endpoints in range (Section 4.2.1).
+    * Division by 2^k is an arithmetic shift (`-((-x) >> k)` for the
+    * ceiling), exact for on-grid ranges, where k ≤ ℓ ≤ 62.
     */
   def riseCount(s: Long, e: Long, k: Int): Long = {
     require(k >= 1, s"rise pattern order must be ≥ 1, got $k")
-    val half = pow2(k - 1)
-    val aMax = Math.floorDiv(e - half, pow2(k))
-    val aMin = math.max(0L, ceilDiv(s - (half - 1), pow2(k)))
+    val half = 1L << (k - 1)
+    val aMax = (e - half) >> k
+    val aMin = math.max(0L, -((half - 1 - s) >> k))
     math.max(0L, aMax - aMin + 1)
   }
 
@@ -37,8 +35,8 @@ object LocalCost {
     require(k >= 0, s"drop pattern order must be ≥ 0, got $k")
     if (k == 0) e - s + 1
     else {
-      val aMax = Math.floorDiv(e + 1, pow2(k)) - 1
-      val aMin = math.max(0L, ceilDiv(s, pow2(k)))
+      val aMax = ((e + 1) >> k) - 1
+      val aMin = math.max(0L, -((-s) >> k))
       math.max(0L, aMax - aMin + 1)
     }
   }
@@ -146,46 +144,96 @@ object LocalCost {
 
     /** tables(b)(c): `T_b[c]` at the vertex index `c = Σ_m c_m·stride(m)`.
       *
-      * Per query and dimension b, Alg. 1's product is an outer product of
-      * one count vector per dimension (b's rises, the others' drops), added
-      * into Table^b by `add`, which walks dimensions d−1 down to 0 and
-      * skips zero factors. Every partial product is at most V(q), so the
-      * ΣV refusal keeps it exact, and exact `Long` sums are the same in any
-      * order. The count vectors are hoisted out of the per-query loop: this
-      * constructor is the ILC initialization the benches time.
+      * Queries are taken in blocks of at most [[PatternTables.Block]] (1,024),
+      * and each block's counts are columns: per dimension m, column k ≤ ℓ_m
+      * of `cols(m)` holds N(D_m^k) of every query of the block, column
+      * ℓ_m+1+k holds N(R_m^{k+1}), and the last column is scratch for a
+      * product. For each b, `walk` takes the dimensions m ≠ b from d−1 down
+      * and multiplies one drop column of each into a running product
+      * column, skipping a column that is zero for the whole block. At the
+      * bottom each entry is one dot product,
+      * `T_b[c] += Σ_i rises_b[c_b](i) · prod(i)`. Every partial product is
+      * at most V(q), so the ΣV refusal keeps it exact, and exact `Long`
+      * sums are the same in any order. The scratch, at most
+      * 2·Σ(ℓ_m+1)·Block `Long`s, lives only while the tables are built:
+      * this constructor is the ILC initialization the benches time.
       */
     val tables: Array[Array[Long]] = {
       val t = Array.fill(d)(new Array[Long](stride(d)))
-      val drops = Array.tabulate(d)(m => new Array[Long](bitsPerDim(m) + 1))
-      val rises = Array.tabulate(d)(m => new Array[Long](bitsPerDim(m) + 1))
-      // row(base + Σ_{m'≤m} k_m'·stride(m')) += w · Π_{m'≤m} f_m'(k_m').
-      def add(row: Array[Long], b: Int, m: Int, base: Int, w: Long): Unit = {
-        val f = if (m == b) rises(m) else drops(m)
-        var k = 0
-        if (m == 0) while (k < f.length) { row(base + k) += w * f(k); k += 1 }
-        else while (k < f.length) {
-          if (f(k) != 0) add(row, b, m - 1, base + k * stride(m), w * f(k))
-          k += 1
-        }
-      }
-      for (q <- queries) {
-        q.requireOnGrid(bitsPerDim)
-        var m = 0
-        while (m < d) {
+      val width = math.min(PatternTables.Block, queries.size)
+      val block = new Array[Rect](width)
+      val cols = Array.tabulate(d)(m => new Array[Long]((2 * bitsPerDim(m) + 2) * width))
+      // nonZero(m)(j): column j of cols(m) is nonzero somewhere in the block.
+      val nonZero = Array.tabulate(d)(m => new Array[Boolean](2 * bitsPerDim(m) + 1))
+      // Adds the block's first n queries into t(b) below the vertex base;
+      // the product of the drop columns taken so far starts at src(off), or
+      // is all ones when src is null.
+      def walk(n: Int, b: Int, m: Int, base: Int, src: Array[Long], off: Int): Unit =
+        if (m < 0) {
+          val rise0 = bitsPerDim(b) + 1
+          var k = 0
+          while (k < bitsPerDim(b)) {
+            if (nonZero(b)(rise0 + k))
+              t(b)(base + k * stride(b)) += PatternTables.dot(cols(b), (rise0 + k) * width, src, off, n)
+            k += 1
+          }
+        } else if (m == b) walk(n, b, m - 1, base, src, off)
+        else {
+          val c = cols(m)
+          val prod = (2 * bitsPerDim(m) + 1) * width
           var k = 0
           while (k <= bitsPerDim(m)) {
-            drops(m)(k) = dropCount(q.lo(m), q.hi(m), k)
-            if (k < bitsPerDim(m)) rises(m)(k) = riseCount(q.lo(m), q.hi(m), k + 1)
+            if (nonZero(m)(k)) {
+              if (src == null) walk(n, b, m - 1, base + k * stride(m), c, k * width)
+              else {
+                PatternTables.multiply(c, prod, c, k * width, src, off, n)
+                walk(n, b, m - 1, base + k * stride(m), c, prod)
+              }
+            }
+            k += 1
+          }
+        }
+      // Counts the block's first n queries into the columns, then adds them.
+      def flush(n: Int): Unit = {
+        var m = 0
+        while (m < d) {
+          val c = cols(m)
+          val rise0 = bitsPerDim(m) + 1
+          var k = 0
+          while (k <= bitsPerDim(m)) {
+            var dropsAny, risesAny = 0L
+            var i = 0
+            while (i < n) {
+              val q = block(i)
+              val lo = q.lo(m)
+              val hi = q.hi(m)
+              val drop = dropCount(lo, hi, k)
+              c(k * width + i) = drop
+              dropsAny |= drop
+              if (k < bitsPerDim(m)) {
+                val rise = riseCount(lo, hi, k + 1)
+                c((rise0 + k) * width + i) = rise
+                risesAny |= rise
+              }
+              i += 1
+            }
+            nonZero(m)(k) = dropsAny != 0
+            if (k < bitsPerDim(m)) nonZero(m)(rise0 + k) = risesAny != 0
             k += 1
           }
           m += 1
         }
         var b = 0
-        while (b < d) {
-          if (rises(b).exists(_ != 0)) add(t(b), b, d - 1, 0, 1L)
-          b += 1
-        }
+        while (b < d) { walk(n, b, d - 1, 0, null, 0); b += 1 }
       }
+      var n = 0
+      for (q <- queries) {
+        q.requireOnGrid(bitsPerDim)
+        block(n) = q
+        n += 1
+        if (n == width) { flush(n); n = 0 }
+      }
+      if (n > 0) flush(n)
       t
     }
 
@@ -216,6 +264,24 @@ object LocalCost {
   object PatternTables {
     /** Most table cells (`Long`s, 512 MiB) one workload's tables may hold. */
     val MaxCells: Long = 1L << 26
+
+    /** Queries per block of the table construction's count columns. */
+    private[core] final val Block = 1024
+
+    /** Σ_i a(ao+i)·b(bo+i) over i < n; b null stands for all ones. */
+    private def dot(a: Array[Long], ao: Int, b: Array[Long], bo: Int, n: Int): Long = {
+      var sum = 0L
+      var i = 0
+      if (b == null) while (i < n) { sum += a(ao + i); i += 1 }
+      else while (i < n) { sum += a(ao + i) * b(bo + i); i += 1 }
+      sum
+    }
+
+    /** dst(o+i) = a(ao+i)·b(bo+i) for i < n. */
+    private def multiply(dst: Array[Long], o: Int, a: Array[Long], ao: Int, b: Array[Long], bo: Int, n: Int): Unit = {
+      var i = 0
+      while (i < n) { dst(o + i) = a(ao + i) * b(bo + i); i += 1 }
+    }
 
     /** Uniform-ℓ convenience constructor. */
     def apply(queries: Seq[Rect], d: Int, bits: Int): PatternTables =

@@ -34,6 +34,27 @@ class LocalCostSpec extends AnyFunSuite {
     }
   }
 
+  for (l <- Seq(16, 31, 62)) {
+    test(s"riseCount and dropCount equal the floorDiv formulas at every order k ≤ ℓ=$l") {
+      val rng = new Random(l)
+      val top = (1L << l) - 1
+      // Coordinates at and near both grid edges, near powers of two, and
+      // anywhere on the grid.
+      def coord(): Long = rng.nextInt(4) match {
+        case 0 => rng.nextInt(8).toLong
+        case 1 => top - rng.nextInt(8)
+        case 2 => math.min(top, math.max(0L, (1L << rng.nextInt(l)) + rng.nextInt(5) - 2))
+        case _ => rng.nextLong() & top
+      }
+      for (k <- 0 to l; _ <- 1 to 200) {
+        val (a, b) = (coord(), coord())
+        val (s, e) = (math.min(a, b), math.max(a, b))
+        if (k >= 1) assert(LocalCost.riseCount(s, e, k) == TestRefs.floorDivRiseCount(s, e, k), s"R^$k over [$s,$e]")
+        assert(LocalCost.dropCount(s, e, k) == TestRefs.floorDivDropCount(s, e, k), s"D^$k over [$s,$e]")
+      }
+    }
+  }
+
   test("riseCount: paper example — x in [0,4] has two R^1, one R^2, one R^3") {
     assert(LocalCost.riseCount(0, 4, 1) == 2) // (0→1), (2→3)
     assert(LocalCost.riseCount(0, 4, 2) == 1) // (1→2)
@@ -174,6 +195,36 @@ class LocalCostSpec extends AnyFunSuite {
     }
   }
 
+  private def assertTablesMatch(qs: Seq[Rect], bits: Array[Int]): Unit = {
+    val tables = new LocalCost.PatternTables(qs, bits.length, bits)
+    val ref = TestRefs.patternTables(qs, bits.length, bits)
+    for (b <- bits.indices) assert(java.util.Arrays.equals(tables.tables(b), ref(b)), s"Table^$b")
+  }
+
+  for (bits <- Seq(Array(4, 4), Array(4, 2, 3))) {
+    val shape = bits.mkString("ℓ=(", ",", ")")
+    test(s"pattern tables over 2·Block + 37 queries equal the formula ($shape)") {
+      val rng = new Random(bits.length)
+      assertTablesMatch(Seq.fill(2 * LocalCost.PatternTables.Block + 37)(randomRect(bits, rng)), bits)
+    }
+
+    test(s"pattern tables when x's drop columns are zero for a whole block, not the next ($shape)") {
+      // A first block of queries one cell wide in x, then wide boxes.
+      val rng = new Random(10 + bits.length)
+      val thin = Seq.fill(LocalCost.PatternTables.Block) {
+        val q = randomRect(bits, rng)
+        Rect(q.lo, q.hi.updated(0, q.lo(0)))
+      }
+      val wide = Seq.fill(LocalCost.PatternTables.Block / 2)(randomRect(bits, rng))
+      assertTablesMatch(thin ++ wide, bits)
+    }
+
+    test(s"pattern tables of a single query equal the formula ($shape)") {
+      val rng = new Random(20 + bits.length)
+      for (_ <- 1 to 10) assertTablesMatch(Seq(randomRect(bits, rng)), bits)
+    }
+  }
+
   test("pattern-table local cost equals the naive scanned cost (Eq. 10)") {
     val rng = new Random(13)
     val qs = Array.fill(10)(randomRect(2, 4, rng)).toSeq
@@ -301,14 +352,15 @@ class LocalCostSpec extends AnyFunSuite {
     assert(tables.cost(yFast) == BigInt(qs.map(TestRefs.exactSections(_, yFast)).sum))
   }
 
-  private def randomRect(d: Int, l: Int, rng: Random): Rect = {
-    val k = 1L << l
-    val lo = new Array[Long](d)
-    val hi = new Array[Long](d)
+  private def randomRect(d: Int, l: Int, rng: Random): Rect = randomRect(Array.fill(d)(l), rng)
+
+  private def randomRect(bits: Array[Int], rng: Random): Rect = {
+    val lo = new Array[Long](bits.length)
+    val hi = new Array[Long](bits.length)
     var i = 0
-    while (i < d) {
-      val a = rng.nextInt(k.toInt).toLong
-      val b = rng.nextInt(k.toInt).toLong
+    while (i < bits.length) {
+      val a = rng.nextInt(1 << bits(i)).toLong
+      val b = rng.nextInt(1 << bits(i)).toLong
       lo(i) = math.min(a, b); hi(i) = math.max(a, b)
       i += 1
     }

@@ -81,6 +81,31 @@ object TestRefs {
     (0L to (e >> k)).count(a => a * p >= s && a * p + p - 1 <= e).toLong
   }
 
+  /** N(R^k) by its closed form, with floor and ceiling division by 2^k
+    * in `BigInt`: exact for every `Long` range and every k ≥ 1.
+    */
+  def floorDivRiseCount(s: Long, e: Long, k: Int): Long = {
+    val p = BigInt(1) << k
+    val half = p >> 1
+    val aMax = floorDiv(BigInt(e) - half, p)
+    val aMin = ceilDiv(BigInt(s) - (half - 1), p).max(0)
+    (aMax - aMin + 1).max(0).toLong
+  }
+
+  /** N(D^k) by its closed form, in `BigInt` as [[floorDivRiseCount]]. */
+  def floorDivDropCount(s: Long, e: Long, k: Int): Long =
+    if (k == 0) e - s + 1
+    else {
+      val p = BigInt(1) << k
+      val aMax = floorDiv(BigInt(e) + 1, p) - 1
+      val aMin = ceilDiv(BigInt(s), p).max(0)
+      (aMax - aMin + 1).max(0).toLong
+    }
+
+  private def floorDiv(a: BigInt, p: BigInt): BigInt = (a - a.mod(p)) / p
+
+  private def ceilDiv(a: BigInt, p: BigInt): BigInt = -floorDiv(-a, p)
+
   /** Alg. 1's pattern tables by its formula, vertex by vertex:
     * `T_b[c] = Σ_q N_q(R_b^{c_b+1}) · Π_{m≠b} N_q(D_m^{c_m})`, 0 where
     * c_b = ℓ_b, with counts by enumeration and the vertex c at index
