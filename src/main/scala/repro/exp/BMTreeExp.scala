@@ -8,14 +8,15 @@ import repro.learn.BMTree
   *
   * Learns BMTrees with the original sampled-data reward (SP) and with the
   * paper's GC / LC rewards, reporting reward-calculation time and the
-  * query cost (average block accesses over a held-out workload on the
-  * *full* dataset) of the learned curves.
+  * query cost of the learned curves: `Case.blockAccesses` of the
+  * configuration's [[Defaults.Case]], on the *full* dataset.
   */
 object BMTreeExp {
 
-  // The original BMTree samples 10⁵ of 10⁸ points; scaled to our N this
-  // keeps the SP sample in the thousands so its cost profile is realistic.
-  val DefaultRho = 0.05
+  // The original BMTree samples 10⁵ of 10⁸ points; scaled to our N, SP's ρ
+  // keeps its sample in the thousands so its cost profile is realistic.
+  private val SampleRho = 0.05
+  private val Seed = 21L
   // Learning runs per variant; reward and learn times are the best of them.
   private val LearnRuns = 3
 
@@ -30,20 +31,15 @@ object BMTreeExp {
           n: Int = DefaultN,
           nQueries: Int = LearnQueries,
           h: Int = DefaultH,
-          rho: Double = DefaultRho,
+          rho: Double = SampleRho,
           rewards: Seq[BMTree.Reward] = Seq(BMTree.SPReward, BMTree.GCReward, BMTree.LCReward)): Seq[VariantRow] = {
-    val seed = 21L
-    val bits = DefaultBits
-    val data = SpatialGen.quantizeAll(SpatialGen.points(dist, n, seed), bits)
-    val learnQs = Workloads.squares(dist, nQueries, DefaultEdge, bits, seed + 1)
-    val testQs = Workloads.squares(dist, 2 * nQueries, DefaultEdge, bits, seed + 2)
+    val c = Case(dist, n, Seed, Workloads.squares(dist, _, DefaultEdge, DefaultBits, _), nQueries)
     rewards.map { rw =>
       // The learner is deterministic: the runs learn the same curve, and
       // their best times are reported, so one pause cannot skew a row.
-      val runs = Seq.fill(LearnRuns)(BMTree.learn(learnQs.toSeq, data, 2, bits, h, rho, rw, DefaultBlock, seed + 3))
-      val idx = ClusteredIndex.build(data, runs.head.curve, DefaultBlock)
+      val runs = Seq.fill(LearnRuns)(BMTree.learn(c.learnQs.toSeq, c.data, 2, DefaultBits, h, rho, rw, DefaultBlock, Seed + 3))
       VariantRow(s"BMTree-${rw.name}", runs.map(_.rewardNanos).min, runs.map(_.totalNanos).min,
-        idx.avgBlockAccesses(testQs.toSeq))
+        c.blockAccesses(runs.head.curve))
     }
   }
 
@@ -59,7 +55,7 @@ object BMTreeExp {
   /** Fig. 11: vary the dataset cardinality N. */
   def varyCardinality(): Seq[(Int, Seq[VariantRow])] = {
     warmup()
-    Seq(10_000, 100_000, 1_000_000).map(n => (n, run(n = n)))
+    QueryExp.Cardinalities.map(n => (n, run(n = n)))
   }
 
   /** Fig. 12: vary the number of learning queries n. */

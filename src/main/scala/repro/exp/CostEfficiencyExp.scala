@@ -26,13 +26,13 @@ object CostEfficiencyExp {
     def gain: Double = naiveNanosPerEval / math.max(1.0, fastNanosPerEval)
   }
 
-  /** Default parameters, following Table 5 of the paper (scaled per
-    * DESIGN.md § 6): n = 2⁴ queries, δ = 16·2⁴ = 256 cells, ℓ = 10, d = 2.
+  /** Each sweep varies one of these Table 5 values (scaled per DESIGN.md
+    * § 6): n = 2⁴ queries, δ = 16·2⁴ = 256 cells, ℓ = 10, d = 2.
     */
-  val DefaultN = 16
-  val DefaultDelta = 256L
-  val DefaultBits = 10
-  val DefaultD = 2
+  private val BaseQueries = 16
+  private val BaseDelta = 256L
+  private val BaseBits = 10
+  private val BaseD = 2
   private val Seed = 11L
   /** m, the random candidate BMCs each measurement point evaluates. */
   private val Candidates = 50
@@ -77,7 +77,7 @@ object CostEfficiencyExp {
   /** GC against NGC (Fig. 9). */
   val Global: Model = Model("global", 9, "GC (µs/eval)", "NGC (µs/eval)", TableFmt.micros, "%.1fx",
     (qs, d, bits) => GlobalCost.Estimator(qs, d, bits).cost, GlobalCost.naive, naiveAll = true,
-    Seq(0, 2, 4, 6, 8, 10), Seq(10, 12, 14, 16), _ => DefaultDelta)
+    Seq(0, 2, 4, 6, 8, 10), Seq(10, 12, 14, 16), _ => BaseDelta)
 
   /** LC against NLC (Fig. 10). A naive scan is O(V) per query, so it is
     * timed on one candidate, panels a and c stop before it takes minutes,
@@ -90,8 +90,8 @@ object CostEfficiencyExp {
   /** One measurement point of `model` on `n` queries of edge `delta`, over
     * m random candidate BMCs.
     */
-  def measure(model: Model, n: Int = DefaultN, delta: Long = DefaultDelta, bits: Int = DefaultBits,
-              d: Int = DefaultD): Row = {
+  def measure(model: Model, n: Int = BaseQueries, delta: Long = BaseDelta, bits: Int = BaseBits,
+              d: Int = BaseD): Row = {
     val qs = queries(n, delta, bits, d)
     val rng = new Random(Seed + 1)
     val cands = Array.fill(Candidates)(BMC.random(d, bits, rng))

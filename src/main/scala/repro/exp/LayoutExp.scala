@@ -10,9 +10,9 @@ import repro.spark.{BlockAccess, Layout, SpatialData}
   * estimator chooses, among the QUILTS candidates, the space-filling curve
   * that clusters a table before it is written to Parquet; no network is
   * trained. The run reports the file skipping and block accesses of that
-  * layout next to the candidate the model ranks worst. Data come from
-  * seed 1; the 200 queries, each 1/8 × 1/64 of the grid, from seed 2 and
-  * serve both to choose and to measure.
+  * layout next to the candidate the model ranks worst. The inputs are a
+  * [[Defaults.Case]] from seed 1 with queries of 1/8 × 1/64 of the grid; its
+  * learning queries serve both to choose and to measure.
   */
 object LayoutExp {
 
@@ -24,14 +24,14 @@ object LayoutExp {
     * choice and the table; returns the queries and the rows.
     */
   def run(spark: SparkSession, dist: String, n: Int, out: String): (Array[Rect], Seq[Row]) = {
-    val bits = DefaultBits
-    val df = SpatialData.dataset(spark, dist, n, seed = 1, bits)
-    val k = 1L << bits
-    val queries = Workloads.rectangles(dist, 200, k >> 3, k >> 6, bits, seed = 2)
+    val k = 1L << DefaultBits
+    val c = Case(dist, n, 1L, Workloads.rectangles(dist, _, k >> 3, k >> 6, DefaultBits, _))
+    val df = SpatialData.dataset(spark, c.dist, c.n, c.seed, DefaultBits)
+    val queries = c.learnQs
 
     // Candidates: the QUILTS designs, which include ZC and both lexicographic curves.
-    val wc = WorkloadCost(queries.toSeq, 2, bits)
-    val candidates = Quilts.candidates(queries.toSeq, 2, bits)
+    val wc = WorkloadCost(queries.toSeq, 2, DefaultBits)
+    val candidates = Quilts.candidates(queries.toSeq, 2, DefaultBits)
     val (best, bestCost) = Layout.chooseCurve(wc, candidates)
     val worst = candidates.maxBy(wc.cost)
     println(s"chosen curve: $best (cost $bestCost); adversarial: $worst")

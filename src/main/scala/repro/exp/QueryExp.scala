@@ -10,14 +10,17 @@ import repro.learn.{BMTree, LBMC, Quilts}
   * Compares the curves learned/constructed by LBMC, BMTree (SP reward,
   * like the released code the paper uses), QUILTS, ZC, HC, and LC by the
   * average number of block accesses on the full dataset — the paper's
-  * PostgreSQL metric, simulated by [[repro.core.ClusteredIndex]].
+  * PostgreSQL metric, simulated by [[repro.core.ClusteredIndex]]. Every
+  * figure cell is one [[Defaults.Case]]: its competitors learn on the
+  * case's learning queries and are scored by `Case.blockAccesses`.
   */
 object QueryExp {
 
-  val DefaultRho = 0.02
-  // Fig. 15's data seed and cardinalities, which Table 7 times too.
+  // The BMTree competitor's sampling rate ρ.
+  private val BMTreeRho = 0.02
+  // Fig. 15's data seed and cardinalities, timed by Table 7 too; Fig. 11 sweeps the same N.
   private val CardinalitySeed = 51L
-  private val Cardinalities = Seq(10_000, 100_000, 1_000_000)
+  private[exp] val Cardinalities = Seq(10_000, 100_000, 1_000_000)
 
   /** A competitor's curve and its Table 7 learning time: 0 for a fixed
     * curve; LBMC's and QUILTS's include the init of the cost model they share.
@@ -30,7 +33,7 @@ object QueryExp {
   private def learners(data: Array[Array[Long]], learnQs: Array[Rect]): Learners = {
     val (wc, wcNanos) = TableFmt.timed(WorkloadCost(learnQs.toSeq, 2, DefaultBits))
     val lbmc = new LBMC(wc).learn(BMC.zOrder(2, DefaultBits))
-    val bmtree = BMTree.learn(learnQs.toSeq, data, 2, DefaultBits, DefaultH, DefaultRho, BMTree.SPReward, DefaultBlock, seed = 31)
+    val bmtree = BMTree.learn(learnQs.toSeq, data, 2, DefaultBits, DefaultH, BMTreeRho, BMTree.SPReward, DefaultBlock, seed = 31)
     val ((quilts, _), quiltsNanos) = TableFmt.timed(Quilts.design(wc, DefaultBits))
     Learners(CurveRow("LBMC", lbmc.best, wcNanos + lbmc.totalNanos),
       CurveRow("BMTree", bmtree.curve, bmtree.totalNanos), CurveRow("QUILTS", quilts, wcNanos + quiltsNanos))
@@ -43,59 +46,34 @@ object QueryExp {
       CurveRow("HC", new Hilbert(2, DefaultBits), 0L), CurveRow("LC", BMC.lexicographic(2, DefaultBits, 0), 0L))
   }
 
-  /** Average block accesses of each curve over the test workload. */
-  def evaluate(data: Array[Array[Long]], curves: Seq[CurveRow], testQs: Array[Rect]): Seq[(String, Double)] =
-    curves.map { c =>
-      val idx = ClusteredIndex.build(data, c.curve, DefaultBlock)
-      (c.name, idx.avgBlockAccesses(testQs.toSeq))
-    }
-
-  /** One case of Figs. 14–17: `data` comes from `seed`, and every competitor
-    * is learned on `LearnQueries` queries from seed + 1 and scored on twice as
-    * many from seed + 2; `queries(count, seed)` makes each set.
-    */
-  private final case class Case(data: Array[Array[Long]], seed: Long, queries: (Int, Long) => Array[Rect]) {
-    def learnQs: Array[Rect] = queries(LearnQueries, seed + 1)
-    def scores: Seq[(String, Double)] = evaluate(data, competitors(data, learnQs), queries(2 * LearnQueries, seed + 2))
-  }
+  /** Each competitor's block accesses in case `c`. */
+  private def scores(c: Case): Seq[(String, Double)] =
+    competitors(c.data, c.learnQs).map(r => (r.name, c.blockAccesses(r.curve)))
 
   /** Fig. 14: all curves on all four datasets. */
-  def overall(): Seq[(String, Seq[(String, Double)])] = {
-    val seed = 41L
-    SpatialGen.Distributions.map { dist =>
-      val data = SpatialGen.quantizeAll(SpatialGen.points(dist, DefaultN, seed), DefaultBits)
-      (dist, Case(data, seed, Workloads.squares(dist, _, DefaultEdge, DefaultBits, _)).scores)
-    }
-  }
-
-  private def osmData(n: Int, seed: Long): Array[Array[Long]] =
-    SpatialGen.quantizeAll(SpatialGen.points("OSM", n, seed), DefaultBits)
+  def overall(): Seq[(String, Seq[(String, Double)])] =
+    SpatialGen.Distributions.map(dist =>
+      (dist, scores(Case(dist, DefaultN, 41L, Workloads.squares(dist, _, DefaultEdge, DefaultBits, _)))))
 
   /** Fig. 15's case at cardinality n, whose learners Table 7 times. */
   private def cardinalityCase(n: Int): Case =
-    Case(osmData(n, CardinalitySeed), CardinalitySeed, Workloads.squares("OSM", _, DefaultEdge, DefaultBits, _))
+    Case("OSM", n, CardinalitySeed, Workloads.squares("OSM", _, DefaultEdge, DefaultBits, _))
 
   /** Fig. 15: vary the dataset cardinality (OSM-like). */
   def varyCardinality(): Seq[(Int, Seq[(String, Double)])] =
-    Cardinalities.map(n => (n, cardinalityCase(n).scores))
+    Cardinalities.map(n => (n, scores(cardinalityCase(n))))
 
   /** Fig. 16: vary the query aspect ratio at fixed area (OSM-like). */
-  def varyAspectRatio(): Seq[(String, Seq[(String, Double)])] = {
-    val seed = 61L
-    val data = osmData(DefaultN, seed)
+  def varyAspectRatio(): Seq[(String, Seq[(String, Double)])] =
     Seq(16.0, 4.0, 1.0, 0.25, 0.0625).map { r =>
       val label = if (r >= 1) s"${r.toInt}:1" else s"1:${(1 / r).toInt}"
-      (label, Case(data, seed, Workloads.withAspectRatio("OSM", _, DefaultEdge, r, DefaultBits, _)).scores)
+      (label, scores(Case("OSM", DefaultN, 61L, Workloads.withAspectRatio("OSM", _, DefaultEdge, r, DefaultBits, _))))
     }
-  }
 
   /** Fig. 17: vary the query edge length (OSM-like). */
-  def varyEdge(): Seq[(Long, Seq[(String, Double)])] = {
-    val seed = 71L
-    val data = osmData(DefaultN, seed)
+  def varyEdge(): Seq[(Long, Seq[(String, Double)])] =
     Seq(2048L, 4096L, 8192L, 16384L).map(e =>
-      (e, Case(data, seed, Workloads.squares("OSM", _, e, DefaultBits, _)).scores))
-  }
+      (e, scores(Case("OSM", DefaultN, 71L, Workloads.squares("OSM", _, e, DefaultBits, _)))))
 
   final case class LearningTime(n: Int, bmtreeNanos: Long, lbmcNanos: Long, quiltsNanos: Long)
 

@@ -33,6 +33,10 @@ final case class LBMCResult(
 final class LBMC(cost: WorkloadCost, cfg: LBMCConfig = LBMCConfig()) {
   import LBMC._
 
+  // With one dimension owning bits, every swap is a no-op: no action is valid.
+  require(cost.bitsPerDim.count(_ > 0) >= 2,
+    s"LBMC needs at least two dimensions with bits to swap, got ℓ = ${cost.bitsPerDim.mkString("(", ", ", ")")}")
+
   private val d = cost.d
   private val L = cost.bitsPerDim.sum
   private val stateSize = L * d
@@ -133,12 +137,8 @@ final class LBMC(cost: WorkloadCost, cfg: LBMCConfig = LBMCConfig()) {
           val batch = Seq.fill(Batch)(mq(rng.nextInt(mq.size)))
           val samples = batch.map { t =>
             if (t.epoch < syncs) {
-              t.maxQ =
-                if (t.nextValid.isEmpty) 0.0
-                else {
-                  val q2 = timedNet(target.forward(t.nextState))
-                  q2(argMax(t.nextValid, q2))
-                }
+              val q2 = timedNet(target.forward(t.nextState))
+              t.maxQ = q2(argMax(t.nextValid, q2))
               t.epoch = syncs
             }
             (t.state, t.action, t.reward + Gamma * t.maxQ)

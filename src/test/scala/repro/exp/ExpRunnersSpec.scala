@@ -57,8 +57,9 @@ class ExpRunnersSpec extends SparkSpec {
   test("BMTreeExp.run produces all three variants with sane metrics") {
     val rows = BMTreeExp.run(dist = "UNI", n = 5000, nQueries = 20, h = 3, rho = 0.05)
     assert(rows.map(_.variant) == Seq("BMTree-SP", "BMTree-GC", "BMTree-LC"))
-    assert(rows.forall(_.blockAccesses >= 0))
     assert(rows.forall(r => r.rewardNanos <= r.learnNanos))
+    // Pinned block accesses of the three learned curves on the 40 test queries.
+    assert(rows.map(_.blockAccesses) == Seq(2.925, 3.05, 2.975), rows)
   }
 
   test("QueryExp.competitors returns the six paper competitors") {
@@ -80,7 +81,8 @@ class ExpRunnersSpec extends SparkSpec {
     assert(byName("BMTree").asInstanceOf[PiecewiseBMC].root == bmtree(6))
     val hc = byName("HC").asInstanceOf[Hilbert]
     assert((hc.d, hc.bits) == (2, DefaultBits))
-    assert(QueryExp.evaluate(data, curves, qs) ==
+    // Block accesses on the learning queries themselves.
+    assert(curves.map(c => c.name -> ClusteredIndex.build(data, c.curve, DefaultBlock).avgBlockAccesses(qs.toSeq)) ==
       Seq("LBMC" -> 2.0, "BMTree" -> 3.75, "QUILTS" -> 3.7, "ZC" -> 2.45, "HC" -> 2.25, "LC" -> 3.7))
   }
 

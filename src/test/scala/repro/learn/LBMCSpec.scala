@@ -109,6 +109,16 @@ class LBMCSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](new LBMC(wc).learn(BMC.zOrder(2, 4)))
   }
 
+  test("a cost model with fewer than two dimensions owning bits is rejected") {
+    // Every swap of such a curve is a no-op, so LBMC would have no action to take.
+    val oneDim = new WorkloadCost(Seq(Rect(Array(2L), Array(9L))), 1, Array(4))
+    val flat = new WorkloadCost(Seq(Rect.of2d(2, 9, 0, 0)), 2, Array(4, 0))
+    for ((wc, shape) <- Seq(oneDim -> "(4)", flat -> "(4, 0)")) {
+      val e = intercept[IllegalArgumentException](new LBMC(wc))
+      assert(e.getMessage.contains(s"ℓ = $shape"), e.getMessage)
+    }
+  }
+
   test("LBMC beats ZC for a workload that ZC serves poorly") {
     // Thin full-height column queries: the optimum keeps y bits low.
     val bits = 4
