@@ -9,11 +9,14 @@ package repro.core
   * different sub-curves. A leaf orders its sub-space with a plain BMC over
   * the remaining (per-dimension) bits. Every root-to-leaf path consumes
   * one bit per level, so all curve values have exactly `d·ℓ` bits and the
-  * mapping is a bijection on the grid.
+  * mapping is a bijection on the grid. Requires `d·ℓ ≤ 62`, so that every
+  * value fits a non-negative `Long`.
   */
 final class PiecewiseBMC(val root: PiecewiseBMC.Node, val d: Int, val bits: Int)
     extends SpaceFillingCurve {
   import PiecewiseBMC._
+  require(d >= 1 && bits >= 1 && d * bits <= 62,
+    s"unsupported piecewise BMC shape d=$d bits=$bits")
 
   /** Maximum split depth of the tree. */
   def depth: Int = {

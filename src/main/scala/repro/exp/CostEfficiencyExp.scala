@@ -122,6 +122,22 @@ object CostEfficiencyExp {
           TableFmt.micros(l.initNanos), TableFmt.secs(l.naiveNanosPerEval))
       })
 
+  private def us(nanos: Double): String = s"${TableFmt.micros(nanos)} µs"
+
+  /** Table 6's shape: both naive costs grow with n, and at the largest n
+    * each init stays within reach of one naive evaluation.
+    */
+  def table6Claims(rows: Seq[(Int, Row, Row)]): Seq[Claim] = {
+    val ngc = rows.map(_._2.naiveNanosPerEval)
+    val nlc = rows.map(_._3.naiveNanosPerEval)
+    val (n, g, l) = rows.last
+    Seq(
+      Claim(s"Table 6: NGC at n=$n, ${us(ngc.last)}, > 4 × its minimum ${us(ngc.min)}", ngc.last > ngc.min * 4),
+      Claim(s"Table 6: NLC at n=$n, ${us(nlc.last)}, > 4 × its minimum ${us(nlc.min)}", nlc.last > nlc.min * 4),
+      Claim(s"Table 6: IGC at n=$n, ${us(g.initNanos)}, < 10 × NGC ${us(ngc.last)}", g.initNanos < ngc.last * 10),
+      Claim(s"Table 6: ILC at n=$n, ${us(l.initNanos)}, < NLC ${us(nlc.last)}", l.initNanos < nlc.last.toLong))
+  }
+
   /** The panels of Figs. 9 and 10: a–d sweep n, δ, ℓ and d. */
   val Panels: Seq[Char] = "abcd"
 
@@ -146,5 +162,38 @@ object CostEfficiencyExp {
       Seq("param", model.fastHeader, model.naiveHeader, "gain"),
       rows.map(r => Seq(r.label, TableFmt.micros(r.fastNanosPerEval),
         model.naiveFmt(r.naiveNanosPerEval), model.gainFmt.format(r.gain))))
+  }
+
+  /** The paper's shape claims on one panel of `model`'s figure: Fig. 9's GC
+    * gains on NGC, and Fig. 10's LC gains on NLC, whose scan grows with δ and ℓ.
+    */
+  def sweepClaims(model: Model, panel: Char, rows: Seq[Row]): Seq[Claim] = {
+    val fig = s"Fig ${model.fig}$panel"
+    val (first, last) = (rows.head, rows.last)
+    def gain(r: Row): String = f"gain at ${r.label} ${r.gain}%.1fx"
+    def nlc(r: Row): String = s"NLC at ${r.label} ${us(r.naiveNanosPerEval)}"
+    def everyGain(min: Double): Claim =
+      Claim(s"$fig: every gain > ${min}x: ${rows.map(r => f"${r.gain}%.1f").mkString(", ")}", rows.forall(_.gain > min))
+    (model.fig, panel) match {
+      case (9, 'a') => Seq(Claim(s"$fig: ${gain(last)} > 4 × ${gain(first)}", last.gain > first.gain * 4))
+      case (9, 'b') =>
+        val f = rows.map(_.naiveNanosPerEval)
+        Seq(Claim(s"$fig: NGC flat in δ: max ${us(f.max)} < 10 × min ${us(f.min)}", f.max < f.min * 10))
+      case (9, 'c') => Seq(everyGain(1.0))
+      case (9, 'd') => Seq(everyGain(2.0))
+      case (10, 'a') => Seq(
+        Claim(s"$fig: ${gain(last)} > 1000x", last.gain > 1000.0),
+        Claim(s"$fig: ${gain(last)} > ${gain(first)}", last.gain > first.gain))
+      case (10, 'b') =>
+        val lc = rows.map(_.fastNanosPerEval)
+        Seq(Claim(s"$fig: ${nlc(last)} > 16 × ${nlc(first)}", last.naiveNanosPerEval > first.naiveNanosPerEval * 16),
+          Claim(s"$fig: LC flat in δ: max ${us(lc.max)} < 50 × max(min ${us(lc.min)}, 1 µs)",
+            lc.max < math.max(lc.min, 1000.0) * 50))
+      case (10, 'c') => Seq(
+        Claim(s"$fig: ${nlc(last)} > 8 × ${nlc(first)}", last.naiveNanosPerEval > first.naiveNanosPerEval * 8),
+        everyGain(100.0))
+      case (10, 'd') => Seq(everyGain(10.0))
+      case (f, p) => throw new IllegalArgumentException(s"no Fig $f$p")
+    }
   }
 }

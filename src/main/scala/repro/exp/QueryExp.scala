@@ -97,6 +97,20 @@ object QueryExp {
       rows.map(r => Seq(r.n.toString, TableFmt.ms(r.bmtreeNanos.toDouble),
         TableFmt.ms(r.lbmcNanos.toDouble), TableFmt.ms(r.quiltsNanos.toDouble))))
 
+  /** Table 7's shape: BMTree's learning time grows with N, LBMC's stays
+    * flat, and QUILTS, which scores only a handful of curves, is fastest.
+    */
+  def table7Claims(rows: Seq[LearningTime]): Seq[Claim] = {
+    def ms(nanos: Seq[Long]): String = nanos.map(t => TableFmt.ms(t.toDouble)).mkString("(", ", ", ") ms")
+    val bmTimes = rows.map(_.bmtreeNanos)
+    val lbTimes = rows.map(_.lbmcNanos)
+    val quTimes = rows.map(_.quiltsNanos)
+    Seq(
+      Claim(s"Table 7: BMTree at N=${rows.last.n} > 2 × at N=${rows.head.n}: ${ms(bmTimes)}", bmTimes.last > bmTimes.head * 2),
+      Claim(s"Table 7: LBMC's max < 5 × its min: ${ms(lbTimes)}", lbTimes.max < lbTimes.min * 5),
+      Claim(s"Table 7: QUILTS's max < LBMC's min: ${ms(quTimes)} vs ${ms(lbTimes)}", quTimes.max < lbTimes.min))
+  }
+
   /** Block accesses per curve, one row per swept value `key`. */
   private def scoreTable[K](caption: String, key: String,
                             results: Seq[(K, Seq[(String, Double)])]): String =
@@ -114,4 +128,55 @@ object QueryExp {
 
   def fig17Table(results: Seq[(Long, Seq[(String, Double)])]): String =
     scoreTable("Fig 17: avg block accesses vs query edge (OSM-like)", "edge", results)
+
+  /** LBMC within `f`× of the best curve, one claim per swept value. */
+  private def lbmcNearBest[K](fig: String, key: String, f: Double,
+                              results: Seq[(K, Seq[(String, Double)])]): Seq[Claim] =
+    results.map { case (k, scores) =>
+      val (bestName, best) = scores.minBy(_._2)
+      val lbmc = scores.toMap.apply("LBMC")
+      Claim(f"$fig, $key=$k: LBMC $lbmc%.1f ≤ $f × best ($bestName $best%.1f)", lbmc <= best * f)
+    }
+
+  /** Every curve's block accesses grow from the first swept value to the last. */
+  private def everyCurveGrows[K](fig: String, key: String, results: Seq[(K, Seq[(String, Double)])]): Seq[Claim] = {
+    val (first, firstScores) = results.head
+    val (last, lastScores) = results.last
+    firstScores.map { case (name, a) =>
+      val b = lastScores.toMap.apply(name)
+      Claim(f"$fig: $name at $key=$last $b%.1f > at $key=$first $a%.1f", b > a)
+    }
+  }
+
+  /** Fig. 14's shape: LBMC is near the best curve and no worse than the
+    * lexicographic curve on every dataset, and learning pays off under skew.
+    */
+  def fig14Claims(results: Seq[(String, Seq[(String, Double)])]): Seq[Claim] = {
+    val skew = results.find(_._1 == "SKEW").get._2.toMap
+    lbmcNearBest("Fig 14", "dataset", 1.35, results) ++ results.map { case (dist, scores) =>
+      val m = scores.toMap
+      Claim(f"Fig 14, dataset=$dist: LBMC ${m("LBMC")}%.1f ≤ LC ${m("LC")}%.1f", m("LBMC") <= m("LC"))
+    } :+ Claim(f"Fig 14, dataset=SKEW: LBMC ${skew("LBMC")}%.1f ≤ 1.05 × ZC ${skew("ZC")}%.1f",
+      skew("LBMC") <= skew("ZC") * 1.05)
+  }
+
+  /** Fig. 15's shape: every curve costs more at larger N, and LBMC stays near the best. */
+  def fig15Claims(results: Seq[(Int, Seq[(String, Double)])]): Seq[Claim] =
+    everyCurveGrows("Fig 15", "N", results) ++ lbmcNearBest("Fig 15", "N", 1.35, results)
+
+  /** Fig. 16's shape: LBMC adapts to every stretch, and beats the
+    * shape-oblivious ZC on at least one extreme ratio.
+    */
+  def fig16Claims(results: Seq[(String, Seq[(String, Double)])]): Seq[Claim] = {
+    val extremes = results.filter(r => r._1 == "16:1" || r._1 == "1:16")
+    val zcWins = extremes.count { case (_, s) =>
+      val m = s.toMap; m("LBMC") <= m("ZC")
+    }
+    lbmcNearBest("Fig 16", "ratio", 1.5, results) :+
+      Claim(s"Fig 16: LBMC ≤ ZC at $zcWins of the ${extremes.size} extreme ratios, ≥ 1", zcWins >= 1)
+  }
+
+  /** Fig. 17's shape: every curve costs more on larger queries, and LBMC stays near the best. */
+  def fig17Claims(results: Seq[(Long, Seq[(String, Double)])]): Seq[Claim] =
+    everyCurveGrows("Fig 17", "edge", results) ++ lbmcNearBest("Fig 17", "edge", 1.5, results)
 }

@@ -69,4 +69,13 @@ class PiecewiseBMCSpec extends AnyFunSuite {
     assert(values.min == 0L && values.max == 63L)
     assert(values.distinct.size == 64)
   }
+
+  test("more than 62 curve bits are rejected") {
+    // Each 62-bit tail is a valid BMC, but the two splits above it would
+    // push the all-ones cell's value past 2^63 - 1.
+    val t = Tail(interleave(Array(31, 31)))
+    val root = Split(0, Split(1, t, t), Split(1, t, t))
+    val e = intercept[IllegalArgumentException](new PiecewiseBMC(root, 2, 32))
+    assert(e.getMessage.contains("d=2 bits=32"), e.getMessage)
+  }
 }

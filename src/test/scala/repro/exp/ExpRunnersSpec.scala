@@ -8,10 +8,11 @@ import repro.exp.Defaults._
 import repro.jobs.Main
 import repro.learn.{BMTree, Quilts}
 
-/** Smoke + invariant tests for the experiment runners the benches use.
+/** Smoke + invariant tests for the experiment runners `Main` runs.
   * Each runner runs at the constants `Main` runs it with; only the data
   * and query counts are small. Curves and block accesses are pinned, so a
-  * change that alters what a runner computes fails here.
+  * change that alters what a runner computes fails here. The runners'
+  * claims are tested on hand-made rows.
   */
 class ExpRunnersSpec extends SparkSpec {
 
@@ -127,6 +128,73 @@ class ExpRunnersSpec extends SparkSpec {
     for (r <- rows)
       assert(r.blockAccesses == ClusteredIndex.build(cells, r.curve, DefaultBlock).avgBlockAccesses(queries.toSeq),
         r.layout)
+  }
+
+  // The claim tests feed hand-made rows to the runners' claim functions:
+  // one input on which every claim holds with its measured operands close
+  // to the claim's constant, and one that breaks exactly one named claim.
+  // So a claim that drops its constant fails the first, and one that
+  // compares a value with itself passes the second.
+  private def failing(claims: Seq[Claim]): Seq[String] = claims.filterNot(_.holds).map(_.statement)
+
+  private val curves = Seq("LBMC", "BMTree", "QUILTS", "ZC", "HC", "LC")
+
+  test("Fig. 14 claims: LBMC within 1.35x of the best, no worse than LC, near ZC under skew") {
+    // LBMC 13 ≤ 1.35 × HC's 10 and ≤ 1.05 × ZC's 12.5, but above both.
+    def row(lbmc: Double) = curves.zip(Seq(lbmc, 15.0, 14.0, 12.5, 10.0, 20.0))
+    val holds = SpatialGen.Distributions.map(d => (d, row(13.0)))
+    assert(QueryExp.fig14Claims(holds).size == 9 && failing(QueryExp.fig14Claims(holds)).isEmpty,
+      QueryExp.fig14Claims(holds))
+    val broken = holds.map { case (d, r) => (d, if (d == "OSM") row(13.6) else r) }
+    assert(failing(QueryExp.fig14Claims(broken)) == Seq("Fig 14, dataset=OSM: LBMC 13.6 ≤ 1.35 × best (HC 10.0)"))
+  }
+
+  test("Fig. 15 claims: every curve grows along the sweep") {
+    def row(scale: Double, lc: Double) = curves.zip(Seq(10.0, 12.0, 11.0, 11.0, 9.0, lc).map(_ * scale))
+    val holds = Seq(10_000 -> row(1, 40), 100_000 -> row(2, 40), 1_000_000 -> row(4, 40))
+    assert(QueryExp.fig15Claims(holds).size == 9 && failing(QueryExp.fig15Claims(holds)).isEmpty,
+      QueryExp.fig15Claims(holds))
+    // LC costs no more at N = 10⁶ than at 10⁴.
+    val broken = holds.init :+ (1_000_000 -> row(4, 10))
+    assert(failing(QueryExp.fig15Claims(broken)) == Seq("Fig 15: LC at N=1000000 40.0 > at N=10000 40.0"))
+  }
+
+  test("Fig. 11 claims: SP's reward time grows with N, GC's and LC's stay flat") {
+    def rows(sp: Long, gc: Long, lc: Long) = Seq(
+      BMTreeExp.VariantRow("BMTree-SP", sp, sp, 10.0), BMTreeExp.VariantRow("BMTree-GC", gc, gc, 12.0),
+      BMTreeExp.VariantRow("BMTree-LC", lc, lc, 30.0))
+    val small = 10_000 -> rows(1_000_000, 100_000, 200_000)
+    // SP grows 3.5x, GC and LC 5x; block accesses 30 < 4 × 10.
+    val holds = Seq(small, 1_000_000 -> rows(3_500_000, 500_000, 1_000_000))
+    assert(BMTreeExp.fig11Claims(holds).size == 5 && failing(BMTreeExp.fig11Claims(holds)).isEmpty,
+      BMTreeExp.fig11Claims(holds))
+    val broken = Seq(small, 1_000_000 -> rows(2_500_000, 500_000, 1_000_000))
+    assert(failing(BMTreeExp.fig11Claims(broken)) ==
+      Seq("Fig 11: SP reward at N=1000000 2.500 ms > 3 × SP reward at N=10000 1.000 ms"))
+  }
+
+  test("Fig. 9a claim: GC's gain on NGC grows more than 4x with n") {
+    def row(label: String, naive: Double) = CostEfficiencyExp.Row(label, 1.0, 100.0, naive)
+    def claims(lastNaive: Double) = CostEfficiencyExp.sweepClaims(CostEfficiencyExp.Global, 'a',
+      Seq(row("n=2^0", 200.0), row("n=2^4", 500.0), row("n=2^10", lastNaive)))
+    assert(failing(claims(1000.0)).isEmpty, claims(1000.0))
+    assert(failing(claims(700.0)) == Seq("Fig 9a: gain at n=2^10 7.0x > 4 × gain at n=2^0 2.0x"))
+  }
+
+  test("Table 7 claims: BMTree grows with N, LBMC stays flat, QUILTS is fastest") {
+    def rows(lbmcMax: Long) = Seq(
+      QueryExp.LearningTime(10_000, 100_000_000L, 100_000_000L, 5_000_000L),
+      QueryExp.LearningTime(100_000, 150_000_000L, 120_000_000L, 6_000_000L),
+      QueryExp.LearningTime(1_000_000, 300_000_000L, lbmcMax, 7_000_000L))
+    assert(QueryExp.table7Claims(rows(400_000_000L)).size == 3 && failing(QueryExp.table7Claims(rows(400_000_000L))).isEmpty,
+      QueryExp.table7Claims(rows(400_000_000L)))
+    assert(failing(QueryExp.table7Claims(rows(600_000_000L))) ==
+      Seq("Table 7: LBMC's max < 5 × its min: (100.000, 120.000, 600.000) ms"))
+  }
+
+  test("Main reports each claim and how many hold") {
+    assert(Main.report(Seq(Claim("a > b", holds = true), Claim("c < d", holds = false))) ==
+      "holds: a > b\nFAILS: c < d\n1 of 2 claims hold")
   }
 
   test("Main rejects an unknown experiment and lists every valid id") {
