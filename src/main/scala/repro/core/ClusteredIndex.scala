@@ -10,37 +10,33 @@ package repro.core
   * the paper's local cost models (more query sections → the qualifying
   * points are split over more blocks; see Fig. 5 of the paper).
   *
-  * Each block keeps a zone map: the min and max of its points in every
-  * dimension (Moerkotte, VLDB'98, "small materialized aggregates"). A
-  * query skips a block whose box is disjoint from it, counts a block whose
-  * box lies inside it without scanning, and scans only the remaining
-  * blocks, stopping at their first qualifying point. The count stays
-  * exact: a disjoint box holds no qualifying point, a box inside the query
-  * holds only qualifying points (and blocks are never empty), and every
-  * other block is decided by its points.
+  * The blocks' min/max boxes form a [[ZoneMap]]. A query skips a block
+  * whose box is disjoint from it, counts a block whose box lies inside it
+  * without scanning, and scans only the remaining blocks, stopping at their
+  * first qualifying point. The count stays exact: a disjoint box holds no
+  * qualifying point, a box inside the query holds only qualifying points
+  * (and blocks are never empty), and every other block is decided by its
+  * points.
   */
 final class ClusteredIndex private (
     coords: Array[Array[Long]], // column-major: coords(dim)(rankedPointIdx)
-    boxMin: Array[Long],        // row-major: boxMin(block·d + dim)
-    boxMax: Array[Long],
+    zones: ZoneMap,             // one zone per block
     val blockSize: Int,
     val d: Int) {
 
   /** Number of indexed points. */
   def size: Int = if (d == 0) 0 else coords(0).length
 
-  private val blocks: Int = if (d == 0) 0 else boxMin.length / d
-
   /** Number of blocks a range query touches. */
   def blockAccesses(q: Rect): Long = {
     require(q.d == d, "query/index dimensionality mismatch")
     var count = 0L
     var b = 0
-    while (b < blocks) {
-      q.relate(boxMin, boxMax, b * d) match {
-        case Rect.Inside   => count += 1
-        case Rect.Overlaps => if (anyHit(q, b)) count += 1
-        case Rect.Disjoint =>
+    while (b < zones.size) {
+      zones.relate(q, b) match {
+        case ZoneMap.Inside   => count += 1
+        case ZoneMap.Overlaps => if (anyHit(q, b)) count += 1
+        case ZoneMap.Disjoint =>
       }
       b += 1
     }
@@ -92,8 +88,7 @@ object ClusteredIndex {
     val order = sortedOrder(values)
     val blocks = if (n == 0) 0 else (n - 1) / blockSize + 1
     val coords = Array.ofDim[Long](d, n)
-    val boxMin = new Array[Long](Math.multiplyExact(blocks, d))
-    val boxMax = new Array[Long](boxMin.length)
+    val zones = ZoneMap.builder(blocks, d)
     var b = 0
     while (b < blocks) {
       val start = b.toLong * blockSize
@@ -111,13 +106,12 @@ object ClusteredIndex {
           if (v > hi) hi = v
           i += 1
         }
-        boxMin(b * d + dim) = lo
-        boxMax(b * d + dim) = hi
+        zones.include(b, dim, lo, hi)
         dim += 1
       }
       b += 1
     }
-    new ClusteredIndex(coords, boxMin, boxMax, blockSize, d)
+    new ClusteredIndex(coords, zones.result(), blockSize, d)
   }
 
   /** Point indices ordered by `(values(i), i)`, by a stable LSD radix sort

@@ -1,5 +1,7 @@
 package repro
 
+import java.nio.file.{Files, Path}
+import java.util.Comparator
 import org.apache.spark.sql.SparkSession
 import org.scalatest.funsuite.AnyFunSuite
 
@@ -17,6 +19,19 @@ import org.scalatest.funsuite.AnyFunSuite
   */
 trait SparkSpec extends AnyFunSuite {
   lazy val spark: SparkSession = SparkSpec.shared
+
+  /** Run `body` on a fresh temporary directory, deleted with everything in
+    * it when `body` ends.
+    */
+  def withTempDir[A](prefix: String)(body: String => A): A = {
+    val dir = Files.createTempDirectory(prefix)
+    try body(dir.toString)
+    finally {
+      val walk = Files.walk(dir)
+      try walk.sorted(Comparator.reverseOrder[Path]()).forEach(p => Files.delete(p))
+      finally walk.close()
+    }
+  }
 }
 
 object SparkSpec {

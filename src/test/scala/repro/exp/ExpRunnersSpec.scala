@@ -1,6 +1,5 @@
 package repro.exp
 
-import java.nio.file.Files
 import repro.SparkSpec
 import repro.core._
 import repro.core.PiecewiseBMC.{Split, Tail}
@@ -109,7 +108,7 @@ class ExpRunnersSpec extends SparkSpec {
 
   test("layout runner: chosen and adversarial rows, cost order, Spark = driver blocks") {
     val (dist, n, bits) = ("UNI", 4000, DefaultBits)
-    val (queries, rows) = LayoutExp.run(spark, dist, n, Files.createTempDirectory("layout-exp").toString)
+    val (queries, rows) = withTempDir("layout-exp")(LayoutExp.run(spark, dist, n, _))
     assert(rows.map(_.layout) == Seq("chosen", "adversarial"))
     // Pinned curves and block accesses; files touched follow the range
     // partitioner's sample and the core count, so they are not pinned.
@@ -206,12 +205,13 @@ class ExpRunnersSpec extends SparkSpec {
 
   test("Main layout rejects invalid arguments before Spark starts") {
     // Only invalid calls: a valid one would stop the suites' shared session.
-    val dir = Files.createTempDirectory("layout-args").toString
-    for (args <- Seq(Seq("XYZ"), Seq("OSM", "0", dir), Seq("OSM", "-5", dir), Seq("UNI", "ten"),
-                     Seq("OSM", "3000000000"), Seq("OSM", "100", dir, "extra"))) {
-      val e = intercept[IllegalArgumentException](Main.main(("layout" +: args).toArray))
-      assert(e.getMessage.contains("usage: layout [dist] [n] [outDir]"), e.getMessage)
+    withTempDir("layout-args") { dir =>
+      for (args <- Seq(Seq("XYZ"), Seq("OSM", "0", dir), Seq("OSM", "-5", dir), Seq("UNI", "ten"),
+                       Seq("OSM", "3000000000"), Seq("OSM", "100", dir, "extra"))) {
+        val e = intercept[IllegalArgumentException](Main.main(("layout" +: args).toArray))
+        assert(e.getMessage.contains("usage: layout [dist] [n] [outDir]"), e.getMessage)
+      }
+      assert(new java.io.File(dir).list().isEmpty)
     }
-    assert(new java.io.File(dir).list().isEmpty)
   }
 }
