@@ -44,8 +44,10 @@ object LayoutExp {
 
     val rows = Seq(("chosen", best, bestPath), ("adversarial", worst, worstPath)).map {
       case (name, curve, path) =>
-        Row(name, curve, Layout.avgFilesTouched(spark, path, queries),
-          BlockAccess.average(spark, df, curve, DefaultBlock, queries))
+        val files = Layout.avgFilesTouched(spark, path, queries)
+        val (blocks, tBlocks) = TableFmt.timed(BlockAccess.average(spark, df, curve, DefaultBlock, queries))
+        println(f"$name layout's block accesses evaluated in ${tBlocks / 1e9}%.1f s")
+        Row(name, curve, files, blocks)
     }
     println(TableFmt.render(s"Parquet layout quality ($dist, N=$n, $NumFiles files)",
       Seq("layout", "avg files touched", "avg block accesses"),

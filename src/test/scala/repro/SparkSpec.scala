@@ -13,9 +13,9 @@ import org.scalatest.funsuite.AnyFunSuite
   * DuckDB oracle checks. Driver heap is set via ``Test / javaOptions`` in
   * build.sbt from SPARK_DRIVER_MEM; SPARK_MASTER overrides the master.
   * Shuffles are 64 partitions wide. Automatic broadcast joins are
-  * disabled, so `SqlCurveSpec`'s join runs as a shuffle join;
-  * `BlockAccess`'s range join keeps its explicit `broadcast` hint, which
-  * the disabled threshold does not override.
+  * disabled, so `SqlCurveSpec`'s join runs as a shuffle join.
+  * `BlockAccess` sorts into `defaultParallelism` range partitions, so the
+  * master sets how many partition boundaries its count crosses.
   */
 trait SparkSpec extends AnyFunSuite {
   lazy val spark: SparkSession = SparkSpec.shared

@@ -31,13 +31,12 @@ class BlockAccessSparkSpec extends SparkSpec {
       // B = 1 puts points sharing a cell into different blocks.
       for (b <- Seq(64, 1)) {
         val driver = ClusteredIndex.build(pts, curve, b)
-        val sparkRows = BlockAccess.perQuery(spark, df, curve, b, queries)
-          .collect().map(r => r.getInt(0) -> r.getLong(1)).toMap
+        val counts = BlockAccess.perQuery(spark, df, curve, b, queries)
+        assert(counts.length == queries.length)
         queries.zipWithIndex.foreach { case (q, i) =>
-          assert(sparkRows.getOrElse(i, 0L) == driver.blockAccesses(q),
-            s"B=$b query $i ${q.show}")
+          assert(counts(i) == driver.blockAccesses(q), s"B=$b query $i ${q.show}")
         }
-        assert(!sparkRows.contains(queries.length - 1), "a query matching no point has no row")
+        assert(counts.last == 0L, "a query matching no point counts 0")
         val sparkAvg = BlockAccess.average(spark, df, curve, b, queries)
         assert(math.abs(sparkAvg - driver.avgBlockAccesses(queries.toSeq)) < 1e-9, s"B=$b")
       }
@@ -56,6 +55,31 @@ class BlockAccessSparkSpec extends SparkSpec {
       val driverAvg = index.avgBlockAccesses(queries.toSeq)
       val sparkAvg = BlockAccess.average(spark, df, curve, b, queries)
       assert(math.abs(driverAvg - sparkAvg) < 1e-9, s"${queries.length} queries")
+    }
+  }
+
+  test("one block spanning every partition counts once per query holding a point") {
+    val n = 2000
+    val pts = SpatialGen.quantizeAll(SpatialGen.points("OSM", n, 3), bits)
+    val df = SpatialData.dataset(spark, "OSM", n, 3, bits)
+    val queries = Workloads.squares("OSM", 30, 32, bits, 4) :+ Rect.of2d(0, (1L << bits) - 1, 0, (1L << bits) - 1)
+    val curve = BMC.zOrder(2, bits)
+    for (b <- Seq(n, n + 1)) {
+      val counts = BlockAccess.perQuery(spark, df, curve, b, queries)
+      val expected = queries.map(q => if (pts.exists(q.contains)) 1L else 0L)
+      assert(counts.toSeq == expected.toSeq, s"B=$b")
+      assert(counts.last == 1L, s"B=$b: the full grid holds every point")
+    }
+  }
+
+  test("block sizes below 1 are refused on the driver") {
+    val df = SpatialData.dataset(spark, "UNI", 100, 1, bits)
+    val queries = Workloads.squares("UNI", 3, 16, bits, 2)
+    // Refused on the driver: inside a task, B = 0 would surface as a
+    // SparkException wrapping an ArithmeticException.
+    for (b <- Seq(0, -1); qs <- Seq(queries, Array.empty[Rect])) {
+      val e = intercept[IllegalArgumentException](BlockAccess.average(spark, df, BMC.zOrder(2, bits), b, qs))
+      assert(e.getMessage.contains("blockSize must be ≥ 1"), e.getMessage)
     }
   }
 
