@@ -27,9 +27,9 @@ final class ClusteredIndex private (
   /** Number of indexed points. */
   def size: Int = if (d == 0) 0 else coords(0).length
 
-  /** Number of blocks a range query touches. */
+  /** Number of blocks a range query touches (0 on an index of no points). */
   def blockAccesses(q: Rect): Long = {
-    require(q.d == d, "query/index dimensionality mismatch")
+    require(q.d == d || size == 0, "query/index dimensionality mismatch")
     var count = 0L
     var b = 0
     while (b < zones.size) {

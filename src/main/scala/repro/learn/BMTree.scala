@@ -87,9 +87,7 @@ object BMTree {
     def scorer(remBits: Array[Int], qs: Seq[Rect], pts: Array[Array[Long]]): BMC => Double =
       reward match {
         case SPReward =>
-          sigma =>
-            if (pts.isEmpty) 0.0
-            else ClusteredIndex.build(pts, sigma, blockSize).avgBlockAccesses(qs)
+          sigma => ClusteredIndex.build(pts, sigma, blockSize).avgBlockAccesses(qs)
         case GCReward =>
           val est = new GlobalCost.Estimator(qs, d, remBits)
           sigma => est.cost(sigma).doubleValue

@@ -1,6 +1,7 @@
 package repro.spark
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.functions.col
 import repro.core.{Rect, SpaceFillingCurve}
 import scala.collection.mutable.ArrayBuffer
 
@@ -8,9 +9,8 @@ import scala.collection.mutable.ArrayBuffer
   * in Spark — the counterpart of [[repro.core.ClusteredIndex]] (the two
   * are asserted equal in tests).
   *
-  * Pipeline: curve value per point (UDF) → `repartitionByRange` +
-  * `sortWithinPartitions` on it, `Layout.write`'s own sort, one partition
-  * per core → dense global rank → one pass over each sorted partition. The
+  * Pipeline: the cell columns alone → `Layout.clustered`, the order
+  * `Layout.write` stores, one partition per core → dense global rank → one pass over each sorted partition. The
   * global rank is assigned with `zipWithIndex` on the sorted distributed
   * rows: unlike a `row_number()` window (which funnels every row through
   * one partition) it keeps the range-partitioned sort, so the pipeline
@@ -43,10 +43,9 @@ object BlockAccess {
     val counts = new Array[Long](queries.length)
     if (queries.isEmpty) return counts
     import spark.implicits._
-    val sorted = CurveUdfs.withCurveValue(points.select("xq", "yq"), curve)
-      .repartitionByRange(spark.sparkContext.defaultParallelism, $"sfc")
-      .sortWithinPartitions("sfc")
-      .select($"xq".cast("long"), $"yq".cast("long"))
+    val cells = Layout.CellColumns.map(col)
+    val sorted = Layout.clustered(points.select(cells: _*), curve, spark.sparkContext.defaultParallelism)
+      .select(cells.map(_.cast("long")): _*)
       .as[(Long, Long)]
     val (x0, x1) = (queries.map(_.lo(0)), queries.map(_.hi(0)))
     val (y0, y1) = (queries.map(_.lo(1)), queries.map(_.hi(1)))

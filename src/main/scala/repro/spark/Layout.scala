@@ -6,6 +6,7 @@ import org.apache.parquet.column.statistics.LongStatistics
 import org.apache.parquet.hadoop.ParquetFileReader
 import org.apache.parquet.hadoop.util.HadoopInputFile
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.functions.{col, udf}
 import repro.core.{BMC, Rect, SpaceFillingCurve, WorkloadCost, ZoneMap}
 import scala.jdk.CollectionConverters._
 
@@ -14,13 +15,18 @@ import scala.jdk.CollectionConverters._
   * clusters a table before `DataFrame.write` (the repro hint's target).
   *
   * `chooseCurve` evaluates every candidate BMC against the expected query
-  * workload in O(1) each (after the single O(n) init); `write` orders the
-  * rows by the winning curve with `repartitionByRange` +
-  * `sortWithinPartitions` — the same mechanism Delta/Hudi use for
-  * Z-ordering — and `avgFilesTouched` measures the workload's file
-  * skipping by the files' min/max boxes, read from the Parquet footers.
+  * workload in O(1) each (after the single O(n) init); `clustered` is the
+  * one place cell columns become curve order, by `repartitionByRange` +
+  * `sortWithinPartitions` — the mechanism Delta/Hudi use for Z-ordering —
+  * which `write` stores and [[BlockAccess]] ranks; `avgFilesTouched`
+  * measures the workload's file skipping by the files' min/max boxes,
+  * read from the Parquet footers.
   */
 object Layout {
+
+  /** The cell columns a curve orders, one dimension each, and the curve-value column. */
+  private[spark] val CellColumns = Seq("xq", "yq")
+  private val CurveColumn = "sfc"
 
   /** Pick the minimum-cost curve for the workload among `candidates`. */
   def chooseCurve(cost: WorkloadCost, candidates: Seq[BMC]): (BMC, BigInt) = {
@@ -28,21 +34,31 @@ object Layout {
     candidates.map(c => (c, cost.cost(c))).minBy(_._2)
   }
 
-  /** Write `df` to Parquet clustered by `curve` over its `xq`/`yq` cell
-    * columns, producing `numFiles` roughly equal files.
+  /** Append the curve-value column `sfc` of a 2-D curve, computed by a UDF
+    * from the `xq`/`yq` cell columns; refuses a curve of another d.
     */
-  def write(df: DataFrame, curve: SpaceFillingCurve, path: String, numFiles: Int): Unit = {
-    val spark = df.sparkSession
-    import spark.implicits._
-    CurveUdfs.withCurveValue(df, curve)
-      .repartitionByRange(numFiles, $"sfc")
-      .sortWithinPartitions("sfc")
-      .drop("sfc")
-      .write.mode("overwrite").parquet(path)
+  def withCurveValue(df: DataFrame, curve: SpaceFillingCurve): DataFrame = {
+    require(curve.d == CellColumns.size, s"curve is ${curve.d}-dimensional, expected ${CellColumns.size}")
+    val value = udf((x: Long, y: Long) => curve.value(Array(x, y)))
+    df.withColumn(CurveColumn, value(CellColumns.map(df(_)): _*))
   }
 
-  /** The cell columns `write` clusters on, one zone dimension each. */
-  private val CellColumns = Seq("xq", "yq")
+  /** `df` with its curve value, range-partitioned on it into `partitions`
+    * and sorted within each: the partitions, read in order, are in curve order.
+    */
+  private[spark] def clustered(df: DataFrame, curve: SpaceFillingCurve, partitions: Int): DataFrame =
+    withCurveValue(df, curve)
+      .repartitionByRange(partitions, col(CurveColumn))
+      .sortWithinPartitions(CurveColumn)
+
+  /** Write `df` to Parquet clustered by `curve` over its `xq`/`yq` cell
+    * columns, producing `numFiles` roughly equal files. Their boundaries
+    * come from `repartitionByRange`'s sample, which Spark seeds with the RDD
+    * id, so they move with the jobs the session ran before the write
+    * (boundaries taken from the data are ROADMAP item 7).
+    */
+  def write(df: DataFrame, curve: SpaceFillingCurve, path: String, numFiles: Int): Unit =
+    clustered(df, curve, numFiles).drop(CurveColumn).write.mode("overwrite").parquet(path)
 
   /** The Parquet footers' min/max boxes of the layout at `path`, as a
     * footer-based pruner sees them: one zone per `.parquet` file that

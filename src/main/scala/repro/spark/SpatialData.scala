@@ -36,6 +36,6 @@ object SpatialData {
       .flatMap { case (xs, ys) =>
         xs.indices.iterator.map(i => (xs(i), ys(i), SpatialGen.quantize(xs(i), bits), SpatialGen.quantize(ys(i), bits)))
       }
-      .toDF("x", "y", "xq", "yq")
+      .toDF("x" +: "y" +: Layout.CellColumns: _*)
   }
 }

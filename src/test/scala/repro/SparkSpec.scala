@@ -2,8 +2,11 @@ package repro
 
 import java.nio.file.{Files, Path}
 import java.util.Comparator
+import java.util.concurrent.ConcurrentLinkedQueue
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.SparkSession
 import org.scalatest.funsuite.AnyFunSuite
+import scala.jdk.CollectionConverters._
 
 /** Base for the suites that run Spark: one local-mode SparkSession for
   * the whole run.
@@ -31,6 +34,35 @@ trait SparkSpec extends AnyFunSuite {
       try walk.sorted(Comparator.reverseOrder[Path]()).forEach(p => Files.delete(p))
       finally walk.close()
     }
+  }
+
+  /** `body`'s result and the number of Spark jobs it starts, seen by a
+    * `SparkListener` between marker jobs run before and after it. The
+    * listener bus delivers events in order, so once it has delivered
+    * "after" it has delivered every job `body` started.
+    */
+  def jobsStartedBy[A](body: => A): (A, Int) = {
+    val sc = spark.sparkContext
+    val starts = new ConcurrentLinkedQueue[String]
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        starts.add(Option(e.properties).flatMap(p => Option(p.getProperty("spark.job.description"))).getOrElse(""))
+    }
+    def marker(name: String): Unit = {
+      sc.setJobDescription(name)
+      try sc.parallelize(Seq(1), 1).count() finally sc.setJobDescription(null)
+    }
+    sc.addSparkListener(listener)
+    try {
+      marker("before")
+      val result = body
+      marker("after")
+      val deadline = System.nanoTime + 30L * 1000 * 1000 * 1000
+      while (!starts.contains("after") && System.nanoTime < deadline) Thread.sleep(10)
+      val seen = starts.asScala.toSeq
+      assert(seen.contains("before") && seen.contains("after"), seen)
+      (result, seen.indexOf("after") - seen.indexOf("before") - 1)
+    } finally sc.removeSparkListener(listener)
   }
 }
 

@@ -108,6 +108,13 @@ class ClusteredIndexSpec extends AnyFunSuite {
       ClusteredIndex.buildWithValues(Array(Array(0L, 0L)), Array(0L, 1L), 4))
   }
 
+  test("an index over no points touches 0 blocks for a query of any d") {
+    val empty = ClusteredIndex.build(Array.empty[Array[Long]], BMC.zOrder(2, 2), 4)
+    assert(empty.blockAccesses(Rect.of2d(0, 3, 0, 3)) == 0)
+    assert(empty.blockAccesses(Rect(Array(0L), Array(1L))) == 0)
+    assert(empty.avgBlockAccesses(Seq(Rect.of2d(0, 3, 0, 3))) == 0.0)
+  }
+
   test("block offsets do not overflow Int for large block sizes") {
     val pts = Array.tabulate(5)(i => Array(i.toLong, 0L))
     val idx = ClusteredIndex.build(pts, BMC.zOrder(2, 3), Int.MaxValue)

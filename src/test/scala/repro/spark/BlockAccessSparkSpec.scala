@@ -72,6 +72,29 @@ class BlockAccessSparkSpec extends SparkSpec {
     }
   }
 
+  test("an empty table counts 0 blocks per query, as the driver does") {
+    val pts = SpatialGen.quantizeAll(SpatialGen.points("UNI", 0, 9), bits)
+    val df = SpatialData.dataset(spark, "UNI", 0, 9, bits)
+    val queries = Workloads.squares("UNI", 10, 32, bits, 10)
+    val curve = BMC.zOrder(2, bits)
+    val driver = ClusteredIndex.build(pts, curve, 64)
+    val counts = BlockAccess.perQuery(spark, df, curve, 64, queries)
+    assert(counts.toSeq == queries.map(driver.blockAccesses).toSeq)
+    assert(counts.forall(_ == 0L))
+  }
+
+  test("perQuery starts four Spark jobs, two on one partition, none for no query") {
+    val df = SpatialData.dataset(spark, "OSM", 3000, 17, bits)
+    val queries = Workloads.squares("OSM", 20, 64, bits, 18)
+    val curve = BMC.zOrder(2, bits)
+    // The range bounds' sample, the shuffle, zipWithIndex's partition
+    // sizes and the collect; one partition needs neither the sample nor
+    // the sizes. An empty workload starts none.
+    val expected = if (spark.sparkContext.defaultParallelism > 1) 4 else 2
+    assert(jobsStartedBy(BlockAccess.perQuery(spark, df, curve, 64, queries))._2 == expected)
+    assert(jobsStartedBy(BlockAccess.perQuery(spark, df, curve, 64, Array.empty[Rect]))._2 == 0)
+  }
+
   test("block sizes below 1 are refused on the driver") {
     val df = SpatialData.dataset(spark, "UNI", 100, 1, bits)
     val queries = Workloads.squares("UNI", 3, 16, bits, 2)

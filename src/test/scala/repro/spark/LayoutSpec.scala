@@ -1,14 +1,11 @@
 package repro.spark
 
-import java.util.concurrent.ConcurrentLinkedQueue
 import org.apache.hadoop.fs.Path
 import org.apache.parquet.hadoop.ParquetFileReader
 import org.apache.parquet.hadoop.util.HadoopInputFile
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.functions.{input_file_name, max, min}
 import repro.SparkSpec
 import repro.core._
-import scala.jdk.CollectionConverters._
 
 /** Cost-model-chosen Parquet layout and min/max file skipping — the
   * repro-hint scenario: the O(1) estimator picks the SFC used to cluster
@@ -184,32 +181,42 @@ class LayoutSpec extends SparkSpec {
     withTempDir("layout-nojob") { path =>
       Layout.write(df, BMC.zOrder(2, bits), path, numFiles = 4)
       val qs = Workloads.squares("OSM", 20, 64, bits, 16)
-      val sc = spark.sparkContext
-      val starts = new ConcurrentLinkedQueue[String]
-      val listener = new SparkListener {
-        override def onJobStart(e: SparkListenerJobStart): Unit =
-          starts.add(Option(e.properties).flatMap(p => Option(p.getProperty("spark.job.description"))).getOrElse(""))
+      val (touched, jobs) = jobsStartedBy(Layout.avgFilesTouched(spark, path, qs))
+      assert(jobs == 0, s"$jobs jobs started inside avgFilesTouched")
+      assert(touched > 0.0)
+    }
+  }
+
+  test("the written layout stores the rows in the driver's curve order") {
+    val (dist, n, seed) = ("OSM", 3000, 17L)
+    val df = SpatialData.dataset(spark, dist, n, seed, bits)
+    val cells = SpatialGen.quantizeAll(SpatialGen.points(dist, n, seed), bits).map(p => (p(0), p(1)))
+    for (curve <- Seq[SpaceFillingCurve](BMC.random(2, bits, new java.util.Random(18)), new Hilbert(2, bits)))
+      withTempDir("layout-order") { path =>
+        Layout.write(df, curve, path, numFiles = 8)
+        val files = parquetFiles(path).sortBy(_.getName)
+        assert(files.length >= 2, "expected multiple output files")
+        // Each small file is read as one split, so its rows come back in
+        // the order they were written.
+        val stored = files.flatMap { f =>
+          spark.read.parquet(f.getPath).select("xq", "yq").collect().map(r => (r.getLong(0), r.getLong(1)))
+        }
+        // The curve is a bijection on cells: rows of equal curve value
+        // share their cell, so this order is the only one.
+        assert(stored == cells.sortBy { case (x, y) => curve.value(Array(x, y)) }.toSeq, curve.toString)
       }
-      // Marker jobs before and after the call: the listener bus delivers
-      // events in order, so once it has delivered "after" it has delivered
-      // every job the call started.
-      def marker(name: String): Unit = {
-        sc.setJobDescription(name)
-        try sc.parallelize(Seq(1), 1).count() finally sc.setJobDescription(null)
+  }
+
+  test("write starts three Spark jobs, two for one file") {
+    val df = SpatialData.dataset(spark, "OSM", 3000, 19, bits)
+    withTempDir("layout-jobs") { path =>
+      // The range bounds' sample, the shuffle and the write; one file
+      // needs no bounds, so no sample. The bounds' sample is seeded by the
+      // RDD id, so another job before a write would move the files.
+      for ((files, jobs) <- Seq(4 -> 3, 1 -> 2)) {
+        val (_, started) = jobsStartedBy(Layout.write(df, BMC.zOrder(2, bits), path, files))
+        assert(started == jobs, s"$files files")
       }
-      sc.addSparkListener(listener)
-      try {
-        marker("before")
-        val touched = Layout.avgFilesTouched(spark, path, qs)
-        marker("after")
-        val deadline = System.nanoTime + 30L * 1000 * 1000 * 1000
-        while (!starts.contains("after") && System.nanoTime < deadline) Thread.sleep(10)
-        val seen = starts.asScala.toSeq
-        assert(seen.contains("before") && seen.contains("after"), seen)
-        val inside = seen.slice(seen.indexOf("before") + 1, seen.indexOf("after"))
-        assert(inside.isEmpty, s"${inside.size} jobs started inside avgFilesTouched")
-        assert(touched > 0.0)
-      } finally sc.removeSparkListener(listener)
     }
   }
 }

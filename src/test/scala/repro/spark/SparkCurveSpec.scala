@@ -12,7 +12,7 @@ class SparkCurveSpec extends SparkSpec {
   test("curve UDF values match the driver-side curve") {
     val df = SpatialData.dataset(spark, "UNI", 2000, 1, bits)
     val curve = BMC.zOrder(2, bits)
-    val rows = CurveUdfs.withCurveValue(df, curve).select("xq", "yq", "sfc").collect()
+    val rows = Layout.withCurveValue(df, curve).select("xq", "yq", "sfc").collect()
     assert(rows.length == 2000)
     rows.foreach { r =>
       assert(r.getLong(2) == curve.value(Array(r.getLong(0), r.getLong(1))))
@@ -23,11 +23,17 @@ class SparkCurveSpec extends SparkSpec {
     val df = SpatialData.dataset(spark, "OSM", 500, 2, bits)
     for (curve <- Seq[SpaceFillingCurve](new Hilbert(2, bits),
         new PiecewiseBMC(PiecewiseBMC.Tail(BMC.lexicographic(2, bits, 0)), 2, bits))) {
-      val rows = CurveUdfs.withCurveValue(df, curve).select("xq", "yq", "sfc").collect()
+      val rows = Layout.withCurveValue(df, curve).select("xq", "yq", "sfc").collect()
       rows.foreach { r =>
         assert(r.getLong(2) == curve.value(Array(r.getLong(0), r.getLong(1))))
       }
     }
+  }
+
+  test("withCurveValue refuses a curve whose d is not the number of cell columns") {
+    val df = SpatialData.dataset(spark, "UNI", 10, 1, bits)
+    val e = intercept[IllegalArgumentException](Layout.withCurveValue(df, BMC.zOrder(3, bits)))
+    assert(e.getMessage.contains("curve is 3-dimensional, expected 2"), e.getMessage)
   }
 
   test("quantization matches SpatialGen.quantize") {
@@ -41,7 +47,7 @@ class SparkCurveSpec extends SparkSpec {
   test("sorting by curve value is a total order (Corollary 1 in Spark)") {
     val df = SpatialData.dataset(spark, "NYC", 2000, 4, bits)
     val curve = BMC.lexicographic(2, bits, 1)
-    val sorted = CurveUdfs.withCurveValue(df, curve).orderBy("sfc")
+    val sorted = Layout.withCurveValue(df, curve).orderBy("sfc")
       .select("sfc").collect().map(_.getLong(0))
     assert(sorted.zip(sorted.tail).forall { case (a, b) => a <= b })
   }
@@ -58,7 +64,7 @@ class SparkCurveSpec extends SparkSpec {
       // plus residual filter.
       val loV = curve.value(q.lo)
       val hiV = curve.value(q.hi)
-      val viaCurve = CurveUdfs.withCurveValue(df, curve)
+      val viaCurve = Layout.withCurveValue(df, curve)
         .where(col("sfc") >= loV && col("sfc") <= hiV)
         .where(col("xq") >= q.lo(0) && col("xq") <= q.hi(0) &&
                col("yq") >= q.lo(1) && col("yq") <= q.hi(1))
@@ -87,7 +93,7 @@ class SparkCurveSpec extends SparkSpec {
       case (acc, v)                          => (v, v) :: acc
     }.reverse
     assert(sections.size == LocalCost.sections(q, curve))
-    val withV = CurveUdfs.withCurveValue(df, curve)
+    val withV = Layout.withCurveValue(df, curve)
     val viaSections = sections
       .map { case (s, e) => withV.where(col("sfc") >= s && col("sfc") <= e) }
       .reduce(_ union _)
@@ -108,7 +114,7 @@ class SparkCurveSpec extends SparkSpec {
     val curve = BMC.zOrder(2, 7)
     // The curve-value span of the query first (Corollary 1), then the
     // exact 2-D filter.
-    val viaCurve = CurveUdfs.withCurveValue(cells, curve)
+    val viaCurve = Layout.withCurveValue(cells, curve)
       .where(col("sfc") >= curve.value(Array(10L, 20L)) && col("sfc") <= curve.value(Array(40L, 80L)))
       .where(col("xq") >= 10 && col("xq") <= 40 && col("yq") >= 20 && col("yq") <= 80)
       .select("xq", "yq")

@@ -34,7 +34,7 @@ class SqlCurveSpec extends SparkSpec {
     val viaSql = spark.sql(
       "SELECT xq, yq FROM pts_sql2 ORDER BY hc_value(xq, yq), xq, yq")
       .collect().map(r => (r.getLong(0), r.getLong(1)))
-    val viaDf = CurveUdfs.withCurveValue(df, curve)
+    val viaDf = Layout.withCurveValue(df, curve)
       .orderBy(col("sfc"), col("xq"), col("yq"))
       .select("xq", "yq").collect().map(r => (r.getLong(0), r.getLong(1)))
     assert(viaSql.toSeq == viaDf.toSeq)
@@ -66,7 +66,7 @@ class SqlCurveSpec extends SparkSpec {
     // table — the shape of a curve-clustered storage catalog lookup.
     val curve = BMC.lexicographic(2, 4, 0)
     val df = SpatialData.dataset(spark, "UNI", 800, 25, 4).select("xq", "yq")
-    val withV = CurveUdfs.withCurveValue(df, curve)
+    val withV = Layout.withCurveValue(df, curve)
     val blocks = spark.range(0, 16).selectExpr("id AS blk", "id * 16 AS lo", "id * 16 + 15 AS hi")
     val got = withV.join(blocks,
         withV("sfc") >= blocks("lo") && withV("sfc") <= blocks("hi"))
